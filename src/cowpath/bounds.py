@@ -1,9 +1,8 @@
 """Closed-form tradeoff bounds, frontier curves, and inequality checks.
 
 Conventions: r is the robustness budget (r >= 9), b_r the larger root of
-b**2/(b-1) = (r-1)/2, and all bound formulas are exact closed forms except
-the direction frontier, which minimizes consistency numerically over the
-feasible (b, delta) rectangle.
+b**2/(b-1) = (r-1)/2, and every bound formula is an exact closed form,
+the direction frontier included.
 """
 
 from __future__ import annotations
@@ -13,11 +12,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from .hints import kbit_base
 from .model import (
     Strategy,
     base_for_robustness,
+    make_geometric,
     rho,
     robust_base_interval,
 )
@@ -40,13 +40,10 @@ __all__ = [
     "robust_base_grid",
     "growth_lemma_sweep",
     "prefix_bound_sweep",
+    "frontier_curve",
     "build_frontiers",
     "frontier_to_csv",
 ]
-
-_B_CAP = 50.0  # search ceiling for the frontier base; c grows ~2b past b_r
-_B_FLOOR_PAD = 1e-6
-
 
 class LowerBound(NamedTuple):
     """A lower bound together with the class of strategies it binds."""
@@ -79,7 +76,6 @@ class FrontierCurve:
     hint_class: str
     k: Optional[int]
     points: tuple[FrontierPoint, ...]
-    metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         rs = [p.r for p in self.points]
@@ -115,57 +111,41 @@ def direction_tradeoff(b: float, delta: float) -> TradeoffPoint:
     return TradeoffPoint(c, r, "closed_form", True)
 
 
-def _delta_for_robustness(b: float, r: float) -> float:
-    """Smallest delta keeping the direction family's robustness <= r at base
-    b, or inf when no delta <= 1 works."""
-    denom = (r - 1.0) * (b * b - 1.0) - 2.0 * b * b
-    if denom <= 0.0:
-        return math.inf
-    return 2.0 * b**3 / denom
-
-
 def _direction_point(r: float) -> FrontierPoint:
-    """Minimize consistency subject to robustness <= r over b in the feasible
-    base interval and delta in [1/b, 1] (delta >= 1/b keeps every segment at
-    length >= 1)."""
+    """Exact minimum consistency of the direction family subject to
+    robustness <= r and delta in [1/b, 1] (delta >= 1/b keeps every segment
+    at length >= 1), with u = b**2 and rho = (r - 1)/2.
 
-    def cost(b: float) -> float:
-        delta = max(_delta_for_robustness(b, r), 1.0 / b)
-        if delta > 1.0:
-            return math.inf
-        return direction_tradeoff(b, delta).consistency
-
-    b_lo, b_hi = robust_base_interval(r)
-    b_lo = max(b_lo, 1.0 + _B_FLOOR_PAD)
-    b_hi = min(b_hi, _B_CAP)
-    if b_hi - b_lo < 1e-12:
-        b_star = 0.5 * (b_lo + b_hi)
-        delta_star = max(_delta_for_robustness(b_star, r), 1.0 / b_star)
-        c = direction_tradeoff(b_star, min(delta_star, 1.0)).consistency
-        return FrontierPoint(r, c, c, b_star, min(delta_star, 1.0))
-
-    grid = np.linspace(b_lo, b_hi, 32)
-    values = np.array([cost(b) for b in grid])
-    seed = int(np.argmin(values))
-    lo = grid[max(0, seed - 1)]
-    hi = grid[min(len(grid) - 1, seed + 1)]
-    result = minimize_scalar(
-        cost, bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
-    )
-    candidates = [
-        (cost(b_lo), b_lo),
-        (cost(b_hi), b_hi),
-        (float(result.fun), float(result.x)),
-    ]
-    c_star, b_star = min(candidates)
-    delta_star = min(max(_delta_for_robustness(b_star, r), 1.0 / b_star), 1.0)
-    return FrontierPoint(r, c_star, c_star, b_star, delta_star)
+    Two candidates, each kept when feasible: the interior, where delta is
+    robustness-tight and c = 1 + 2u(u + rho)/((rho - 1)u - rho) is
+    stationary at u = rho/(sqrt(rho) - 1); and the edge delta = 1/b, where
+    c = 5 + 4/(u - 1) falls in u up to the larger root of
+    2u**2 + (3 - r)u + (r - 1) = 0.  The base-interval endpoints give c = r
+    and never win.
+    """
+    p = rho(r)
+    candidates = []
+    u = p / (math.sqrt(p) - 1.0)
+    denom = (p - 1.0) * u - p
+    b = math.sqrt(u)
+    delta = b**3 / denom
+    if 1.0 / b <= delta <= 1.0:
+        candidates.append((1.0 + 2.0 * u * (u + p) / denom, b, delta))
+    # the edge root is real once (r - 3)**2 - 8(r - 1) = (r - 7)**2 - 32 >= 0;
+    # its square root is taken in two factors so nothing overflows at huge r
+    lo, hi = r - 7.0 - math.sqrt(32.0), r - 7.0 + math.sqrt(32.0)
+    if lo >= 0.0:
+        u = (r - 3.0) / 4.0 + math.sqrt(lo) * math.sqrt(hi) / 4.0
+        b = math.sqrt(u)
+        candidates.append((5.0 + 4.0 / (u - 1.0), b, 1.0 / b))
+    c, b, delta = min(candidates)
+    return FrontierPoint(r, c, c, b, delta)
 
 
 def direction_frontier(r_values: Sequence[float]) -> FrontierCurve:
     """Best-achievable consistency of the direction family per robustness
-    budget; upper and lower coincide because the optimum is computed, not
-    bounded."""
+    budget, in closed form; upper and lower coincide because the optimum is
+    exact, not bounded."""
     points = tuple(_direction_point(float(r)) for r in r_values)
     return FrontierCurve("direction", None, points)
 
@@ -178,13 +158,8 @@ def onebit_consistency_upper(r: float) -> float:
 def kbit_consistency_upper(r: float, k: int) -> float:
     """k-bit consistency upper bound 1 + 2 a**(1 + 1/2**k) / (a - 1) with a
     the family base."""
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    p = rho(r)
-    threshold = (1.0 + 2.0**k) ** 2 / 2.0**k
-    a = base_for_robustness(r) if p <= threshold else 1.0 + 2.0**k
-    return 1.0 + 2.0 * a ** (1.0 + 1.0 / 2.0**k) / (a - 1.0)
+    a = kbit_base(r, k)
+    return 1.0 + 2.0 * a ** (1.0 + 1.0 / 2.0 ** int(k)) / (a - 1.0)
 
 
 def onebit_lower(r: float) -> LowerBound:
@@ -273,6 +248,16 @@ def robust_base_grid(r: float, points: int = 20) -> np.ndarray:
     return np.linspace(lo, hi, int(points))
 
 
+def _geometric_sweep(
+    check, rs: Sequence[float], points: int, horizon: int
+) -> list[InequalityReport]:
+    return [
+        check(make_geometric(b, horizon), r)
+        for r in rs
+        for b in robust_base_grid(r, points)
+    ]
+
+
 def growth_lemma_sweep(
     rs: Sequence[float] = (9.0, 10.0, 13.0, 25.0),
     points: int = 20,
@@ -280,15 +265,7 @@ def growth_lemma_sweep(
 ) -> list[InequalityReport]:
     """Segment-growth margins for geometric strategies across the feasible
     base range of each budget."""
-    from .model import make_geometric
-
-    reports = []
-    for r in rs:
-        for b in robust_base_grid(r, points):
-            reports.append(
-                check_segment_growth_lemma(make_geometric(b, horizon), r)
-            )
-    return reports
+    return _geometric_sweep(check_segment_growth_lemma, rs, points, horizon)
 
 
 def prefix_bound_sweep(
@@ -298,50 +275,39 @@ def prefix_bound_sweep(
 ) -> list[InequalityReport]:
     """Prefix-sum margins for geometric strategies across the feasible base
     range of each budget."""
-    from .model import make_geometric
-
-    reports = []
-    for r in rs:
-        for b in robust_base_grid(r, points):
-            reports.append(check_prefix_sum_bound(make_geometric(b, horizon), r))
-    return reports
+    return _geometric_sweep(check_prefix_sum_bound, rs, points, horizon)
 
 
-def _monotone_curve(
-    hint_class: str, k: Optional[int], pairs: list[tuple[float, float, float]]
+def frontier_curve(
+    hint_class: str, r_values: Sequence[float], k: int = 2
 ) -> FrontierCurve:
-    points = tuple(FrontierPoint(r, cu, cl) for r, cu, cl in pairs)
+    """Frontier curve of one hint class at the given budgets: position
+    (tight), direction (exact optimum), onebit and kbit (upper bound with the
+    class floor as lower); k is used by kbit only."""
+    rs = [float(r) for r in r_values]
+    if hint_class == "direction":
+        return direction_frontier(rs)
+    if hint_class == "position":
+        k, pairs = None, [(position_consistency_bound(r),) * 2 for r in rs]
+    elif hint_class == "onebit":
+        k = 1
+        pairs = [(onebit_consistency_upper(r), onebit_lower(r).value) for r in rs]
+    elif hint_class == "kbit":
+        k = int(k)
+        pairs = [(kbit_consistency_upper(r, k), kbit_floor().value) for r in rs]
+    else:
+        raise ValueError(f"unknown hint_class {hint_class!r}")
+    points = tuple(FrontierPoint(r, cu, cl) for r, (cu, cl) in zip(rs, pairs))
     return FrontierCurve(hint_class, k, points)
 
 
 def build_frontiers(
     r_values: Sequence[float], ks: Sequence[int] = (2,)
 ) -> list[FrontierCurve]:
-    """Frontier curves for every hint class at the given budgets: position
-    (tight), direction (computed optimum), 1-bit and k-bit (upper bound with
-    the class floor as lower)."""
-    rs = [float(r) for r in r_values]
-    position = _monotone_curve(
-        "position",
-        None,
-        [(r, position_consistency_bound(r), position_consistency_bound(r)) for r in rs],
-    )
-    direction = direction_frontier(rs)
-    onebit = _monotone_curve(
-        "onebit",
-        1,
-        [(r, onebit_consistency_upper(r), onebit_lower(r).value) for r in rs],
-    )
-    curves = [position, direction, onebit]
-    for k in ks:
-        curves.append(
-            _monotone_curve(
-                "kbit",
-                int(k),
-                [(r, kbit_consistency_upper(r, k), kbit_floor().value) for r in rs],
-            )
-        )
-    return curves
+    """Frontier curves for every hint class at the given budgets: position,
+    direction and onebit, then one kbit curve per k."""
+    curves = [frontier_curve(c, r_values) for c in ("position", "direction", "onebit")]
+    return curves + [frontier_curve("kbit", r_values, k) for k in ks]
 
 
 def frontier_to_csv(curves: Sequence[FrontierCurve]) -> str:

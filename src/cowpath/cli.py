@@ -16,18 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import (
-    FrontierCurve,
-    FrontierPoint,
-    check_segment_growth_lemma,
-    direction_frontier,
     build_frontiers,
+    check_segment_growth_lemma,
+    frontier_curve,
     frontier_to_csv,
     growth_lemma_sweep,
-    kbit_consistency_upper,
-    kbit_floor,
-    onebit_consistency_upper,
-    onebit_lower,
-    position_consistency_bound,
     prefix_bound_sweep,
     robust_base_grid,
 )
@@ -40,7 +33,6 @@ from .model import (
     make_geometric,
 )
 from .ratios import (
-    competitive_ratio,
     competitive_ratio_measured,
     competitive_ratio_terms,
     evaluate_hinted,
@@ -141,8 +133,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     descriptor: dict = {"family": args.family}
     pairs = args.r_params.split(",") if args.r_params else []
     descriptor.update(_kv_pairs(pairs, "--r-params"))
-    if "k" in descriptor:
-        descriptor["k"] = int(descriptor["k"])
     family = family_from_json(descriptor, args.horizon)
     point = evaluate_hinted(family)
     print(f"consistency={point.consistency:.6f} robustness={point.robustness:.6f}")
@@ -158,77 +148,32 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     rs = args.r
     if rs[0] < 9.0:
         raise ValueError(f"r range must start at 9 or above, got {rs[0]}")
-    cls = args.hint_class
-    if cls == "all":
+    if args.hint_class == "all":
         curves = build_frontiers(rs, ks=(args.k,))
-    elif cls == "position":
-        points = tuple(
-            FrontierPoint(
-                r, position_consistency_bound(r), position_consistency_bound(r)
-            )
-            for r in rs
-        )
-        curves = [FrontierCurve("position", None, points)]
-    elif cls == "direction":
-        curves = [direction_frontier(rs)]
-    elif cls == "onebit":
-        points = tuple(
-            FrontierPoint(r, onebit_consistency_upper(r), onebit_lower(r).value)
-            for r in rs
-        )
-        curves = [FrontierCurve("onebit", 1, points)]
     else:
-        points = tuple(
-            FrontierPoint(r, kbit_consistency_upper(r, args.k), kbit_floor().value)
-            for r in rs
-        )
-        curves = [FrontierCurve("kbit", args.k, points)]
+        curves = [frontier_curve(args.hint_class, rs, args.k)]
     _write_text(args.output, frontier_to_csv(curves))
     return 0
 
 
-def _verify_lemma() -> tuple[bool, str]:
-    rs = (9.0, 10.0, 13.0, 25.0)
-    points = 20
-    reports = growth_lemma_sweep(rs, points)
-    worst = -math.inf
-    where = ""
-    ok = True
-    for idx, report in enumerate(reports):
-        r = rs[idx // points]
-        b = robust_base_grid(r, points)[idx % points]
-        i = int(np.argmax(report.margins))
-        margin = report.margins[i]
-        if margin > worst:
-            worst, where = margin, f"r={r:g},b={b:.6g},i={i}"
-        ok = ok and report.holds
-    counter = check_segment_growth_lemma(strategy_from_lengths([1.0, 100.0]), 9.0)
-    flagged = (not counter.holds) and counter.violation_index == 1
-    line = "holds" if ok else "VIOLATED"
-    detail = f"lemma: {line}; worst margin {worst:.6g} at {where}"
-    detail += "; counterexample (1,100) flagged" if flagged else (
-        "; counterexample (1,100) NOT flagged"
-    )
-    return ok and flagged, detail
+_SWEEP_RS = (9.0, 10.0, 13.0, 25.0)
+_SWEEP_POINTS = 20
 
 
-def _verify_corollary() -> tuple[bool, str]:
-    rs = (9.0, 10.0, 13.0, 25.0)
-    points = 20
-    reports = prefix_bound_sweep(rs, points)
+def _verify_sweep(label: str, sweep) -> tuple[bool, str]:
+    """Run an inequality sweep over geometric strategies and report its
+    worst margin and where it occurs."""
+    reports = sweep(_SWEEP_RS, _SWEEP_POINTS)
+    cells = [(r, b) for r in _SWEEP_RS for b in robust_base_grid(r, _SWEEP_POINTS)]
     worst = -math.inf
     where = ""
-    ok = True
-    for idx, report in enumerate(reports):
-        r = rs[idx // points]
-        b = robust_base_grid(r, points)[idx % points]
+    for (r, b), report in zip(cells, reports):
         i = int(np.argmax(report.margins))
-        margin = report.margins[i]
-        if margin > worst:
-            worst, where = margin, f"r={r:g},b={b:.6g},i={i}"
-        ok = ok and report.holds
+        if report.margins[i] > worst:
+            worst, where = report.margins[i], f"r={r:g},b={b:.6g},i={i}"
+    ok = all(report.holds for report in reports)
     line = "holds" if ok else "VIOLATED"
-    return ok, f"corollary: {line}; worst margin {worst:.6g} at {where}"
+    return ok, f"{label}: {line}; worst margin {worst:.6g} at {where}"
 
 
 def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
@@ -245,9 +190,13 @@ def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = []
     if args.suite in ("lemma", "all"):
-        checks.append(_verify_lemma())
+        ok, detail = _verify_sweep("lemma", growth_lemma_sweep)
+        counter = check_segment_growth_lemma(strategy_from_lengths([1.0, 100.0]), 9.0)
+        flagged = (not counter.holds) and counter.violation_index == 1
+        detail += f"; counterexample (1,100) {'flagged' if flagged else 'NOT flagged'}"
+        checks.append((ok and flagged, detail))
     if args.suite in ("corollary", "all"):
-        checks.append(_verify_corollary())
+        checks.append(_verify_sweep("corollary", prefix_bound_sweep))
     if args.suite in ("oracle", "all"):
         checks.append(_verify_oracle(args.count, args.seed))
     ok = True

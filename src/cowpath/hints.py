@@ -190,12 +190,17 @@ def direction_family(
     )
 
 
+_MAX_K = 511  # largest k with (1 + 2**k)**2 a finite float
+
+
 def kbit_base(r: float, k: int) -> float:
     """Growth base of the k-bit family: b_r while rho(r) stays below
     (1+2**k)**2 / 2**k, then the constant 1 + 2**k."""
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
+    if k > _MAX_K:
+        raise ValueError(f"k must be <= {_MAX_K}, got {k!r}")
     p = rho(r)
     threshold = (1.0 + 2.0**k) ** 2 / 2.0**k
     if p <= threshold:
@@ -372,7 +377,10 @@ def family_from_json(obj: object, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     if name == "direction":
         return direction_family(float(need("b")), float(need("delta")), horizon)
     if name == "kbit":
-        return kbit_family(float(need("r")), int(need("k")), horizon)
+        k = need("k")
+        if not (isinstance(k, int) or k.is_integer()):
+            raise ValueError(f"field 'k' must be an integer, got {k!r}")
+        return kbit_family(float(need("r")), int(k), horizon)
     raise ValueError(
         f"field 'family' must be 'position', 'direction' or 'kbit', got {name!r}"
     )

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_HORIZON",
-    "DEFAULT_TOLERANCE",
     "HorizonTooShort",
     "Segment",
     "Strategy",
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON = 64
-DEFAULT_TOLERANCE = 1e-9
 
 # Relative slack for float comparisons inside structural invariants.
 _REL_TOL = 1e-9

@@ -14,6 +14,7 @@ from cowpath.bounds import (
     check_segment_growth_lemma,
     direction_frontier,
     direction_tradeoff,
+    frontier_curve,
     frontier_to_csv,
     growth_lemma_sweep,
     kbit_consistency_upper,
@@ -117,9 +118,9 @@ class TestDirectionFrontier:
         [
             (10.0, 8.157858464006008),
             (13.0, 6.711510153071851),
-            (25.0, 5.455996269650018),
-            (88.0, 5.098886154351067),
-            (100.0, 5.086101220606147),
+            (25.0, 5.4559962546824688),
+            (88.0, 5.0988861539684775),
+            (100.0, 5.0861012195700155),
         ],
     )
     def test_frozen_optima(self, r, c):
@@ -135,6 +136,17 @@ class TestDirectionFrontier:
     def test_matches_independent_scan(self, r):
         point = direction_frontier([r]).points[0]
         assert abs(point.c_upper - _oracle_direction_c(r)) <= 1e-6
+
+    def test_large_budgets_exact(self):
+        # past r ~ 5003 the optimal base exceeds 50; the optimum stays exact
+        curve = direction_frontier([5250.0, 1e4, 1e6])
+        for point in curve.points:
+            assert point.c_upper == point.c_lower
+            achieved = direction_tradeoff(point.b_star, point.delta_star)
+            assert achieved.consistency == pytest.approx(point.c_upper, abs=1e-9)
+            assert achieved.robustness <= point.r * (1.0 + 1e-12)
+            assert point.delta_star >= 1.0 / point.b_star - 1e-12
+        assert curve.points[1].c_upper == pytest.approx(5.000800560456409, abs=1e-9)
 
     def test_crossing_below_5_1(self):
         curve = direction_frontier(range(9, 101))
@@ -283,6 +295,15 @@ class TestBuildFrontiers:
             5.756828460010884, abs=1e-12
         )
         assert kbit.points[0].c_lower == 3.0
+
+    def test_single_class_curves(self):
+        rs = [9.0, 10.0]
+        curves = build_frontiers(rs, ks=(3,))
+        for curve, k in zip(curves, (2, 2, 2, 3)):
+            assert frontier_curve(curve.hint_class, rs, k) == curve
+        assert frontier_curve("position", rs, 5).k is None
+        with pytest.raises(ValueError, match="hint_class"):
+            frontier_curve("exact", rs)
 
     def test_extra_k_curves(self):
         curves = build_frontiers([9.0, 10.0], ks=(2, 3))

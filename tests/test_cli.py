@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -89,6 +92,15 @@ class TestEval:
         )
         assert code == 2 and "must be a number" in err
 
+    @pytest.mark.parametrize("k", ["2.7", "0.5"])
+    def test_non_integral_k(self, capsys, k):
+        code, out, err = run(
+            capsys, "eval", "--family", "kbit", "--r-params", f"r=9,k={k}"
+        )
+        assert code == 2 and out == ""
+        assert f"field 'k' must be an integer, got {k}" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--file", str(tmp_path / "nope.json"))
         assert code == 2 and "error:" in err
@@ -109,6 +121,21 @@ class TestFrontier:
         code, out, _ = run(capsys, "frontier", "--class", "direction", "--r", "9")
         assert code == 0
         assert out.splitlines()[1] == "direction,,9,9,9,2,1"
+
+    def test_direction_large_budget(self, capsys):
+        code, out, _ = run(capsys, "frontier", "--class", "direction", "--r", "10000")
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "direction,,10000,5.00080056,5.00080056,70.6929954,0.0141456731"
+        )
+
+    def test_kbit_k_too_large(self, capsys):
+        code, out, err = run(
+            capsys, "frontier", "--class", "kbit", "--r", "9", "--k", "2000"
+        )
+        assert code == 2 and out == ""
+        assert "k must be <= 511, got 2000" in err
+        assert "Traceback" not in err
 
     def test_kbit_k3(self, capsys):
         code, out, _ = run(
@@ -292,3 +319,16 @@ class TestTopLevel:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2
+
+    def test_import_loads_no_scipy(self):
+        # cowpath needs numpy only; a subprocess sees a fresh sys.modules
+        code = (
+            "import sys, cowpath\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert not loaded, loaded\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr

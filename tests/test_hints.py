@@ -128,6 +128,10 @@ class TestKBit:
             kbit_base(9.0, 0)
         with pytest.raises(ValueError):
             kbit_base(8.0, 1)
+        # (1 + 2**k)**2 leaves the float range past k = 511
+        assert kbit_base(9.0, 511) == 2.0
+        with pytest.raises(ValueError, match="k must be <= 511, got 512"):
+            kbit_base(9.0, 512)
 
     def test_member_lengths(self):
         s = kbit_hint_strategy(9.0, 1, BitStringHint(1, 1), horizon=4)
@@ -267,6 +271,9 @@ class TestFamilyJson:
             family_from_json({"family": "direction", "b": 2.0})
         with pytest.raises(ValueError, match="must be a number"):
             family_from_json({"family": "kbit", "r": 9.0, "k": "two"})
+        with pytest.raises(ValueError, match="'k' must be an integer, got 2.7"):
+            family_from_json({"family": "kbit", "r": 9.0, "k": 2.7})
+        assert family_from_json({"family": "kbit", "r": 9.0, "k": 2.0}).k == 2
         with pytest.raises(ValueError, match="'position', 'direction' or 'kbit'"):
             family_from_json({"family": "mystery"})
         with pytest.raises(ValueError, match="must be an object"):
