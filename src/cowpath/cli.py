@@ -121,14 +121,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"--geometric has no field '{sorted(unknown)[0]}'")
         if "b" not in params:
             raise ValueError("--geometric needs field 'b'")
-        _print_strategy_report(
-            make_geometric(
-                params["b"],
-                int(params.get("n", DEFAULT_HORIZON)),
-                int(params.get("first", 0)),
-                params.get("scale", 1.0),
+        b, n = params["b"], params.get("n", float(DEFAULT_HORIZON))
+        if not (n >= 1 and n.is_integer()):
+            raise ValueError(
+                f"--geometric field 'n' must be an integer >= 1, got {n:g}"
             )
-        )
+        first, scale = int(params.get("first", 0)), params.get("scale", 1.0)
+        try:
+            strategy = make_geometric(b, int(n), first, scale)
+        except ValueError as exc:
+            raise ValueError(f"--geometric b={b:g}, n={int(n)}: {exc}") from None
+        _print_strategy_report(strategy)
         return 0
     descriptor: dict = {"family": args.family}
     pairs = args.r_params.split(",") if args.r_params else []

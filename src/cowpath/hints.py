@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -27,15 +27,18 @@ from .model import (
     PositionHint,
     Strategy,
     Target,
+    _pow,
     base_for_robustness,
+    cheapest_search_costs,
     complement,
     rho,
-    search_cost,
+    search_costs,
     strategy_from_lengths,
 )
 
 __all__ = [
     "HintedStrategy",
+    "cheapest_trusted_costs",
     "LabeledInterval",
     "LinePartition",
     "position_hint_strategy",
@@ -43,6 +46,7 @@ __all__ = [
     "position_family",
     "direction_hint_strategy",
     "direction_true_hint",
+    "direction_trusted_costs",
     "direction_family",
     "kbit_base",
     "kbit_hint_strategy",
@@ -56,6 +60,14 @@ __all__ = [
 ]
 
 
+def cheapest_trusted_costs(
+    members: Mapping[Hint, Strategy], distances: np.ndarray, branch: int
+) -> np.ndarray:
+    """Batched trusted cost when every hint is trusted: the cheapest member
+    at each distance (inf where none finds the target)."""
+    return cheapest_search_costs(members.values(), distances, branch)[0]
+
+
 @dataclass(frozen=True)
 class HintedStrategy:
     """A strategy family keyed by hints.
@@ -63,7 +75,11 @@ class HintedStrategy:
     ``select`` maps a hint to a member strategy.  ``hint_space`` is the finite
     set of admissible hints (a grid when the true space is continuous).
     ``true_hint_of`` maps a target to its trusted hint(s); None means the
-    correct hint is whichever member finds the target cheapest.
+    correct hint is whichever member finds the target cheapest.  It is the
+    per-target reference rule.  ``trusted_costs(members, distances, branch)``
+    is the same rule batched: the cost of the trusted member at every
+    distance on one branch (NaN or inf where it misses), given the built
+    members keyed by hint.
     """
 
     family: str
@@ -77,6 +93,9 @@ class HintedStrategy:
     true_hint_of: Optional[Callable[[Target], object]] = field(
         default=None, compare=False
     )
+    trusted_costs: Callable[
+        [Mapping[Hint, Strategy], np.ndarray, int], np.ndarray
+    ] = field(default=cheapest_trusted_costs, compare=False)
 
 
 def _check_horizon(horizon: int) -> int:
@@ -84,6 +103,24 @@ def _check_horizon(horizon: int) -> int:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
     return horizon
+
+
+def _check_overflow(base: float, exponent: float, params: str) -> None:
+    """Reject parameters whose longest member length base**exponent leaves
+    the float range, before any array is built."""
+    if not math.isfinite(_pow(base, exponent)):
+        raise ValueError(
+            f"{params} overflows the float range: member lengths reach "
+            f"{base:.6g}**{exponent:.10g}"
+        )
+
+
+def _position_base(r: float, horizon: int) -> float:
+    """b_r, checked so the members' lengths up to b_r**(horizon - 1) stay
+    finite."""
+    base = base_for_robustness(r)
+    _check_overflow(base, horizon - 1, f"r={r!r} with horizon={horizon}")
+    return base
 
 
 def _anchor_index(base: float, distance: float) -> int:
@@ -105,7 +142,7 @@ def position_hint_strategy(
     if not isinstance(hint, PositionHint):
         raise ValueError(f"position family needs a PositionHint, got {hint!r}")
     horizon = _check_horizon(horizon)
-    base = base_for_robustness(r)
+    base = _position_base(r, horizon)
     j = _anchor_index(base, hint.distance)
     if horizon <= j:
         raise HorizonTooShort(
@@ -123,6 +160,28 @@ def position_true_hint(target: Target) -> PositionHint:
     return PositionHint(target.distance, target.branch)
 
 
+def _position_trusted_costs(base: float, horizon: int):
+    """Batched trusted cost of the position family: the member anchored at
+    each target costs 2 * (b**0 + .. + b**(j-1)) / shrink + d, where j is the
+    smallest index with b**j >= d and shrink = b**j / d.  NaN where j falls
+    past the horizon."""
+    # Python powers, as in _anchor_index, so the anchors match select's.
+    anchors = np.array([base**j for j in range(horizon)])
+    sums = np.zeros(horizon + 1)
+    np.cumsum(np.power(base, np.arange(horizon, dtype=float)), out=sums[1:])
+
+    def trusted_costs(members, distances, branch):
+        d = np.asarray(distances, dtype=float)
+        j = np.searchsorted(anchors, d, side="left")
+        inside = j < horizon
+        j, d_in = j[inside], d[inside]
+        out = np.full(d.shape, np.nan)
+        out[inside] = 2.0 * sums[j] / (anchors[j] / d_in) + d_in
+        return out
+
+    return trusted_costs
+
+
 def position_family(
     r: float,
     horizon: int = DEFAULT_HORIZON,
@@ -131,8 +190,8 @@ def position_family(
 ) -> HintedStrategy:
     """Position-hint family with a log-spaced hint grid standing in for the
     continuous hint space."""
-    base_for_robustness(r)  # validate r early
     horizon = _check_horizon(horizon)
+    base = _position_base(r, horizon)  # validate r early
     if max_hint_distance < 1.0:
         raise ValueError("max_hint_distance must be >= 1")
     decades = math.log10(max_hint_distance)
@@ -148,6 +207,7 @@ def position_family(
         select=lambda hint: position_hint_strategy(r, hint, horizon),
         hint_space=hint_space,
         true_hint_of=position_true_hint,
+        trusted_costs=_position_trusted_costs(base, horizon),
     )
 
 
@@ -165,6 +225,7 @@ def direction_hint_strategy(
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta!r}")
     horizon = _check_horizon(horizon)
+    _check_overflow(b, horizon - 1, f"b={b!r} with horizon={horizon}")
     lengths = np.power(b, np.arange(horizon, dtype=float))
     lengths[1::2] *= delta
     return strategy_from_lengths(lengths, hint.branch)
@@ -173,6 +234,14 @@ def direction_hint_strategy(
 def direction_true_hint(target: Target) -> DirectionHint:
     """The correct direction hint names the target's branch."""
     return DirectionHint(target.branch)
+
+
+def direction_trusted_costs(
+    members: Mapping[Hint, Strategy], distances: np.ndarray, branch: int
+) -> np.ndarray:
+    """Batched trusted cost of the direction family: the member that
+    searches ``branch`` first."""
+    return search_costs(members[DirectionHint(branch)], distances, branch)
 
 
 def direction_family(
@@ -187,6 +256,7 @@ def direction_family(
         select=lambda hint: direction_hint_strategy(b, delta, hint, horizon),
         hint_space=(DirectionHint(0), DirectionHint(1)),
         true_hint_of=direction_true_hint,
+        trusted_costs=direction_trusted_costs,
     )
 
 
@@ -208,6 +278,14 @@ def kbit_base(r: float, k: int) -> float:
     return 1.0 + 2.0**k
 
 
+def _kbit_member_base(r: float, k: int, horizon: int) -> float:
+    """kbit_base, checked so the members' lengths up to a**(horizon - 2**-k)
+    stay finite."""
+    a = kbit_base(r, k)
+    _check_overflow(a, horizon - 2.0**-k, f"r={r!r}, k={k} with horizon={horizon}")
+    return a
+
+
 def kbit_hint_strategy(
     r: float, k: int, hint: BitStringHint, horizon: int = DEFAULT_HORIZON
 ) -> Strategy:
@@ -217,18 +295,20 @@ def kbit_hint_strategy(
     if hint.k != int(k):
         raise ValueError(f"hint has k={hint.k}, family has k={k}")
     horizon = _check_horizon(horizon)
-    a = kbit_base(r, k)
+    a = _kbit_member_base(r, k, horizon)
     exponents = np.arange(horizon, dtype=float) + hint.index / 2.0**k
     return strategy_from_lengths(np.power(a, exponents), 0)
 
 
 def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrategy:
     """k-bit family: 2**k phase-shifted members; the correct hint is the
-    index of the member that finds the target cheapest."""
-    kbit_base(r, k)  # validate r, k early
+    index of the member that finds the target cheapest (the default
+    ``trusted_costs`` rule)."""
+    horizon = _check_horizon(horizon)
+    _kbit_member_base(r, k, horizon)  # validate r, k early
     return HintedStrategy(
         family="kbit",
-        horizon=_check_horizon(horizon),
+        horizon=horizon,
         r=float(r),
         k=int(k),
         select=lambda hint: kbit_hint_strategy(r, k, hint, horizon),
@@ -237,25 +317,27 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     )
 
 
+def _kbit_members(r: float, k: int, horizon: int) -> list[Strategy]:
+    return [
+        kbit_hint_strategy(r, k, BitStringHint(j, int(k)), horizon)
+        for j in range(2 ** int(k))
+    ]
+
+
 def best_hint_index(
     r: float, k: int, target: Target, horizon: int = DEFAULT_HORIZON
 ) -> BitStringHint:
     """Index of the member that finds the target cheapest (ties go to the
     smallest index)."""
-    best: Optional[int] = None
-    best_cost = math.inf
-    for j in range(2 ** int(k)):
-        member = kbit_hint_strategy(r, k, BitStringHint(j, int(k)), horizon)
-        cost = search_cost(member, target)
-        if cost is not None and cost < best_cost:
-            best = j
-            best_cost = cost
-    if best is None:
+    _, index = cheapest_search_costs(
+        _kbit_members(r, k, horizon), [target.distance], target.branch
+    )
+    if index[0] < 0:
         raise HorizonTooShort(
             f"no member finds target (d={target.distance}, branch="
             f"{target.branch}) within horizon {horizon}"
         )
-    return BitStringHint(best, int(k))
+    return BitStringHint(int(index[0]), int(k))
 
 
 @dataclass(frozen=True)
@@ -320,10 +402,7 @@ def preferred_partition(
     max_distance = float(max_distance)
     if not math.isfinite(max_distance) or max_distance < 1.0:
         raise ValueError(f"max_distance must be >= 1, got {max_distance!r}")
-    members = [
-        kbit_hint_strategy(r, k, BitStringHint(j, int(k)), horizon)
-        for j in range(2 ** int(k))
-    ]
+    members = _kbit_members(r, k, horizon)
     reach = min(m.last_turn_point(branch) for m in members for branch in (0, 1))
     if max_distance > reach:
         raise HorizonTooShort(
@@ -331,18 +410,18 @@ def preferred_partition(
         )
     breakpoints = np.unique(np.concatenate([m.lengths for m in members]))
     breakpoints = breakpoints[(breakpoints > 1.0) & (breakpoints < max_distance)]
-    bounds = [1.0, *breakpoints.tolist(), max_distance]
-    per_branch: dict[int, list[LabeledInterval]] = {0: [], 1: []}
+    bounds = np.concatenate(([1.0], breakpoints, [max_distance]))
+    mids = np.maximum(1.0, 0.5 * (bounds[:-1] + bounds[1:]))
+    sides = []
     for branch in (0, 1):
-        merged = per_branch[branch]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            mid = max(1.0, 0.5 * (lo + hi))
-            label = best_hint_index(r, k, Target(mid, branch), horizon).index
-            if merged and merged[-1].label == label:
-                merged[-1] = LabeledInterval(merged[-1].lo, hi, label)
-            else:
-                merged.append(LabeledInterval(lo, hi, label))
-    return LinePartition(tuple(per_branch[0]), tuple(per_branch[1]))
+        # Every member reaches every midpoint (max_distance <= reach); runs
+        # of one label merge into one interval.
+        _, labels = cheapest_search_costs(members, mids, branch)
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        ends = np.append(starts[1:], labels.size)
+        los, his = bounds[starts].tolist(), bounds[ends].tolist()
+        sides.append(tuple(map(LabeledInterval, los, his, labels[starts].tolist())))
+    return LinePartition(*sides)
 
 
 def family_to_json(family: HintedStrategy) -> dict:

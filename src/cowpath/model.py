@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "scale_strategy",
     "search_cost",
     "search_costs",
+    "cheapest_search_costs",
     "rho",
     "base_for_robustness",
     "robust_base_interval",
@@ -89,48 +90,99 @@ class Segment:
         object.__setattr__(self, "branch", _check_branch(self.branch))
 
 
-@dataclass(frozen=True)
 class Strategy:
-    """A finite prefix of search iterations.
+    """A finite prefix of search iterations, held as two read-only arrays:
+    ``lengths`` (float64, finite and > 0) and ``branches`` (int64, 0 or 1).
 
     Lengths two steps apart may never shrink (lengths[i+2] >= lengths[i]);
     for alternating strategies this keeps each branch's turn points monotone.
     Branch alternation itself is not required here, only by the constructors.
+    ``Strategy(segments)`` builds from Segment objects;
+    ``Strategy.from_arrays`` builds from arrays without creating any.
     """
 
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        segments = tuple(self.segments)
-        if not segments:
-            raise ValueError("strategy needs at least one segment")
+    def __init__(self, segments: Sequence[Segment]) -> None:
+        segments = tuple(segments)
         for i, seg in enumerate(segments):
             if not isinstance(seg, Segment):
                 raise ValueError(f"segments[{i}] is not a Segment: {seg!r}")
-        for i in range(len(segments) - 2):
-            lo, hi = segments[i].length, segments[i + 2].length
-            if hi < lo * (1.0 - _REL_TOL):
-                raise ValueError(
-                    f"lengths[{i + 2}]={hi} < lengths[{i}]={lo}: every other "
-                    "segment must not shrink"
-                )
-        object.__setattr__(self, "segments", segments)
+        self._set_arrays(
+            [seg.length for seg in segments], [seg.branch for seg in segments]
+        )
+        self.__dict__["segments"] = segments
+
+    @classmethod
+    def from_arrays(
+        cls, lengths: Sequence[float], branches: Sequence[int]
+    ) -> Strategy:
+        """Validated strategy over copies of the given arrays."""
+        strategy = cls.__new__(cls)
+        strategy._set_arrays(lengths, branches)
+        return strategy
+
+    def _set_arrays(self, lengths: Sequence[float], branches: Sequence[int]) -> None:
+        lengths = np.array(lengths, dtype=float)
+        branches = np.array(branches)
+        if lengths.ndim != 1 or lengths.shape != branches.shape:
+            raise ValueError("lengths and branches must be 1-D and of one size")
+        if lengths.size == 0:
+            raise ValueError("strategy needs at least one segment")
+        bad = ~(np.isfinite(lengths) & (lengths > 0.0))
+        if bad.any():
+            got = float(lengths[np.argmax(bad)])
+            raise ValueError(
+                f"segment length must be positive and finite, got {got!r}"
+            )
+        bad = (branches != 0) & (branches != 1)
+        if branches.dtype == bool or bad.any():
+            got = branches[np.argmax(bad)].item()
+            raise ValueError(f"branch must be 0 or 1, got {got!r}")
+        shrunk = lengths[2:] < lengths[:-2] * (1.0 - _REL_TOL)
+        if shrunk.any():
+            i = int(np.argmax(shrunk))
+            raise ValueError(
+                f"lengths[{i + 2}]={float(lengths[i + 2])} < lengths[{i}]="
+                f"{float(lengths[i])}: every other segment must not shrink"
+            )
+        branches = branches.astype(np.int64)
+        lengths.flags.writeable = False
+        branches.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "branches", branches)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Strategy is immutable; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Strategy):
+            return NotImplemented
+        return np.array_equal(self.lengths, other.lengths) and np.array_equal(
+            self.branches, other.branches
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lengths.tobytes(), self.branches.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"Strategy(lengths={self.lengths.tolist()}, "
+            f"branches={self.branches.tolist()})"
+        )
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return self.lengths.size
 
     @cached_property
-    def lengths(self) -> np.ndarray:
-        return np.array([seg.length for seg in self.segments], dtype=float)
-
-    @cached_property
-    def branches(self) -> np.ndarray:
-        return np.array([seg.branch for seg in self.segments], dtype=np.int64)
+    def segments(self) -> tuple[Segment, ...]:
+        return tuple(
+            Segment(length, branch)
+            for length, branch in zip(self.lengths.tolist(), self.branches.tolist())
+        )
 
     @cached_property
     def prefix_sums(self) -> np.ndarray:
         """prefix_sums[i] = sum of lengths[0:i]; length N+1."""
-        out = np.zeros(len(self.segments) + 1)
+        out = np.zeros(len(self) + 1)
         np.cumsum(self.lengths, out=out[1:])
         return out
 
@@ -160,9 +212,17 @@ def strategy_from_lengths(
 ) -> Strategy:
     """Alternating-branch strategy with the given excursion lengths."""
     first = _check_branch(first_branch)
-    return Strategy(
-        tuple(Segment(float(x), (first + i) % 2) for i, x in enumerate(lengths))
-    )
+    lengths = np.asarray(lengths, dtype=float)
+    branches = (first + np.arange(lengths.size)) % 2
+    return Strategy.from_arrays(lengths, branches)
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent, or inf where it leaves the float range."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def make_geometric(
@@ -180,6 +240,11 @@ def make_geometric(
         raise ValueError(f"scale must be > 0, got {scale!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
+    if not math.isfinite(scale * _pow(base, count - 1)):
+        raise ValueError(
+            f"the longest length {scale!r} * {base!r}**{count - 1} overflows "
+            "the float range"
+        )
     lengths = scale * np.power(base, np.arange(int(count), dtype=float))
     return strategy_from_lengths(lengths, first_branch)
 
@@ -212,9 +277,7 @@ def scale_strategy(strategy: Strategy, factor: float) -> Strategy:
     factor = float(factor)
     if not math.isfinite(factor) or factor <= 0.0:
         raise ValueError(f"factor must be > 0, got {factor!r}")
-    return Strategy(
-        tuple(Segment(seg.length * factor, seg.branch) for seg in strategy.segments)
-    )
+    return Strategy.from_arrays(strategy.lengths * factor, strategy.branches)
 
 
 @dataclass(frozen=True)
@@ -281,10 +344,10 @@ def search_cost(strategy: Strategy, target: Target) -> Optional[float]:
     """
     d = target.distance
     walked = 0.0
-    for seg in strategy.segments:
-        if seg.branch == target.branch and seg.length >= d:
+    for length, branch in zip(strategy.lengths.tolist(), strategy.branches.tolist()):
+        if branch == target.branch and length >= d:
             return 2.0 * walked + d
-        walked += seg.length
+        walked += length
     return None
 
 
@@ -317,10 +380,31 @@ def search_costs(
     return out
 
 
+def cheapest_search_costs(
+    strategies: Iterable[Strategy], distances: np.ndarray, branch: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per distance on ``branch``: the lowest search cost among ``strategies``
+    and the index of the strategy that attains it (ties go to the smallest
+    index).  Where no strategy finds the target the cost is inf and the
+    index -1.  A running minimum keeps memory at O(len(distances)).
+    """
+    d = np.asarray(distances, dtype=float)
+    best = np.full(d.shape, np.inf)
+    index = np.full(d.shape, -1, dtype=np.int64)
+    for j, strategy in enumerate(strategies):
+        costs = search_costs(strategy, d, branch)
+        better = costs < best  # NaN (not found) never wins
+        best[better] = costs[better]
+        index[better] = j
+    return best, index
+
+
 def rho(r: float) -> float:
     """Half the allowed overhead, (r - 1) / 2; defined for r >= 9."""
     r = float(r)
-    if not math.isfinite(r) or r < 9.0:
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
+    if r < 9.0:
         raise ValueError(f"r must be >= 9 (no base is r-robust below), got {r!r}")
     return (r - 1.0) / 2.0
 

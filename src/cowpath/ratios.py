@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
+from .hints import cheapest_trusted_costs
 from .model import (
     DEFAULT_HORIZON,
-    BitStringHint,
-    DirectionHint,
     HorizonTooShort,
-    PositionHint,
     Strategy,
-    Target,
     make_geometric,
-    search_cost,
     search_costs,
 )
 
@@ -115,15 +111,16 @@ class TargetGrid:
         eps = float(self.epsilon)
         if not 0.0 < eps <= 1e-3:
             raise ValueError(f"epsilon must be in (0, 1e-3], got {self.epsilon!r}")
-        distances = tuple(float(d) for d in self.distances)
-        if not distances:
+        d = np.asarray(self.distances, dtype=float)
+        if d.ndim != 1 or d.size == 0:
             raise ValueError("target grid must contain at least one distance")
-        for d in distances:
-            if not math.isfinite(d) or d < 1.0:
-                raise ValueError(f"grid distances must be finite and >= 1, got {d!r}")
-        if any(a > b for a, b in zip(distances, distances[1:])):
+        bad = ~(np.isfinite(d) & (d >= 1.0))
+        if bad.any():
+            got = float(d[np.argmax(bad)])
+            raise ValueError(f"grid distances must be finite and >= 1, got {got!r}")
+        if np.any(d[1:] < d[:-1]):
             raise ValueError("grid distances must be sorted ascending")
-        object.__setattr__(self, "distances", distances)
+        object.__setattr__(self, "distances", tuple(d.tolist()))
         object.__setattr__(self, "epsilon", eps)
 
 
@@ -136,7 +133,7 @@ def default_grid(
     hi = max(float(np.max(strategy.lengths)), 1.0)
     net = np.logspace(0.0, math.log10(hi), max(int(points), 2))
     distances = np.unique(np.concatenate([turn[turn >= 1.0], net, [1.0]]))
-    return TargetGrid(tuple(distances), epsilon)
+    return TargetGrid(distances, epsilon)
 
 
 def family_grid(
@@ -154,7 +151,7 @@ def family_grid(
     net = np.logspace(0.0, math.log10(cap), max(int(points), 2))
     merged = np.concatenate([turn, net, [1.0]])
     merged = merged[(merged >= 1.0) & (merged <= cap)]
-    return TargetGrid(tuple(np.unique(merged)), epsilon)
+    return TargetGrid(np.unique(merged), epsilon)
 
 
 def worst_case_cost_at_turn(strategy: Strategy, i: int) -> float:
@@ -211,15 +208,6 @@ def competitive_ratio_measured(
     return best
 
 
-def _trusted_candidates(hint_or_hints: object) -> tuple:
-    if isinstance(hint_or_hints, (PositionHint, DirectionHint, BitStringHint)):
-        return (hint_or_hints,)
-    candidates = tuple(hint_or_hints)  # type: ignore[arg-type]
-    if not candidates:
-        raise ValueError("true_hint_of returned no candidate hints")
-    return candidates
-
-
 def evaluate_hinted(
     family,
     true_hint_of=_UNSET,
@@ -229,13 +217,13 @@ def evaluate_hinted(
     """Measured consistency and robustness of a hinted family.
 
     Consistency is the worst ratio over targets when the hint is trusted:
-    per target, the cost is the cheapest over the trusted candidate hints
-    (``true_hint_of(target)``); with ``true_hint_of=None`` the whole hint
-    space is trusted and the cheapest member counts.  Robustness is the worst
-    member's measured competitive ratio, each member probed at its own turn
-    points (the adversarial targets are member-specific).  Targets no
-    candidate finds raise HorizonTooShort; targets missed by one member but
-    found by another are dropped from that member's minimum only.
+    the family's batched ``trusted_costs`` rule gives, per target, the cost
+    of the member its trusted hint selects.  With ``true_hint_of=None``, or
+    for a bare ``select`` callable, the whole hint space is trusted and the
+    cheapest member counts.  Robustness is the worst member's measured competitive
+    ratio, each member probed at its own turn points (the adversarial targets
+    are member-specific).  Targets no trusted member finds raise
+    HorizonTooShort.  Each hint's member is built once.
     """
     select = getattr(family, "select", family)
     if not callable(select):
@@ -243,7 +231,14 @@ def evaluate_hinted(
     if hint_space is _UNSET:
         hint_space = getattr(family, "hint_space", None)
     if true_hint_of is _UNSET:
-        true_hint_of = getattr(family, "true_hint_of", None)
+        trusted_costs = getattr(family, "trusted_costs", cheapest_trusted_costs)
+    elif true_hint_of is None:
+        trusted_costs = cheapest_trusted_costs
+    else:
+        raise ValueError(
+            "true_hint_of must be None (trust the whole hint space); the "
+            "family's trusted_costs rule scores its own trusted hints"
+        )
     if not hint_space:
         raise ValueError("hint_space must be a non-empty finite collection")
     hints = tuple(hint_space)
@@ -252,40 +247,18 @@ def evaluate_hinted(
         grid = family_grid(members)
     distances = np.asarray(grid.distances)
 
+    by_hint = dict(zip(hints, members))
     consistency = 1.0
-    if true_hint_of is None:
-        for branch in (0, 1):
-            cheapest = np.full(distances.shape, np.inf)
-            for member in members:
-                costs = search_costs(member, distances, branch)
-                cheapest = np.fmin(cheapest, np.where(np.isnan(costs), np.inf, costs))
-            missed = ~np.isfinite(cheapest)
-            if missed.any():
-                d_bad = float(distances[missed][0])
-                raise HorizonTooShort(
-                    f"no member finds target (d={d_bad}, branch={branch}) "
-                    "within the horizon"
-                )
-            consistency = max(consistency, float(np.max(cheapest / distances)))
-    else:
-        built: dict = {}
-        for branch in (0, 1):
-            for d in distances:
-                target = Target(float(d), branch)
-                cheapest = math.inf
-                for hint in _trusted_candidates(true_hint_of(target)):
-                    member = built.get(hint)
-                    if member is None:
-                        member = built[hint] = select(hint)
-                    cost = search_cost(member, target)
-                    if cost is not None and cost < cheapest:
-                        cheapest = cost
-                if not math.isfinite(cheapest):
-                    raise HorizonTooShort(
-                        f"no trusted candidate finds target (d={float(d)}, "
-                        f"branch={branch}) within the horizon"
-                    )
-                consistency = max(consistency, cheapest / target.distance)
+    for branch in (0, 1):
+        costs = trusted_costs(by_hint, distances, branch)
+        missed = ~np.isfinite(costs)
+        if missed.any():
+            d_bad = float(distances[missed][0])
+            raise HorizonTooShort(
+                f"no trusted member finds target (d={d_bad}, branch={branch}) "
+                "within the horizon"
+            )
+        consistency = max(consistency, float(np.max(costs / distances)))
 
     robustness = max(competitive_ratio_measured(m) for m in members)
     converged = all(tail_converged(competitive_ratio_terms(m)) for m in members)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -101,6 +102,31 @@ class TestEval:
         assert f"field 'k' must be an integer, got {k}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n", ["-3", "0", "2.5"])
+    def test_geometric_bad_count_names_n(self, capsys, n):
+        code, out, err = run(capsys, "eval", "--geometric", "b=2", f"n={n}")
+        assert code == 2 and out == ""
+        assert f"--geometric field 'n' must be an integer >= 1, got {n}" in err
+
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (("--geometric", "b=2", "n=2000"), "b=2, n=2000"),
+            (
+                ("--family", "position", "--r-params", "r=1e9"),
+                "r=1000000000.0 with horizon=64",
+            ),
+        ],
+        ids=["geometric", "position"],
+    )
+    def test_overflow_rejected_without_warning(self, capsys, argv, names):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert names in err and "overflows the float range" in err
+        assert caught == [] and "Warning" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--file", str(tmp_path / "nope.json"))
         assert code == 2 and "error:" in err
@@ -170,6 +196,11 @@ class TestFrontier:
     def test_r_below_nine(self, capsys):
         code, _, err = run(capsys, "frontier", "--class", "position", "--r", "8")
         assert code == 2 and "9 or above" in err
+
+    def test_r_not_finite(self, capsys):
+        code, out, err = run(capsys, "frontier", "--class", "direction", "--r", "inf")
+        assert code == 2 and out == ""
+        assert "r must be finite, got inf" in err
 
     def test_missing_flags(self, capsys):
         code, _, err = run(capsys, "frontier", "--r", "9")

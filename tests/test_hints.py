@@ -1,10 +1,13 @@
 """Hint families: position-anchored, direction-asymmetric, k-bit indexed."""
 
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cowpath import hints
 from cowpath.hints import (
     LabeledInterval,
     LinePartition,
@@ -173,6 +176,35 @@ class TestKBit:
             best_hint_index(9.0, 1, Target(1e6, 0), horizon=4)
 
 
+class TestOverflowChecks:
+    @pytest.mark.parametrize(
+        "build,names",
+        [
+            (lambda: position_family(1e9), "r=1000000000.0 with horizon=64"),
+            (
+                lambda: position_hint_strategy(1e9, PositionHint(2.0, 0)),
+                "r=1000000000.0 with horizon=64",
+            ),
+            (
+                lambda: direction_hint_strategy(1e10, 1.0, DirectionHint(0)),
+                "b=10000000000.0 with horizon=64",
+            ),
+            (lambda: kbit_family(1e9, 20), "r=1000000000.0, k=20 with horizon=64"),
+        ],
+        ids=["position_family", "position_member", "direction_member", "kbit_family"],
+    )
+    def test_rejected_before_any_array(self, build, names):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows the float range") as info:
+                build()
+        assert str(info.value).startswith(names)
+
+    def test_shorter_horizon_fits(self):
+        fam = position_family(1e9, horizon=10)
+        assert np.isfinite(fam.select(fam.hint_space[-1]).lengths).all()
+
+
 class TestPartition:
     def test_r9_k1_max16_branch0(self):
         part = preferred_partition(9.0, 1, 16.0)
@@ -223,6 +255,18 @@ class TestPartition:
     def test_reach_guard(self):
         with pytest.raises(HorizonTooShort):
             preferred_partition(9.0, 1, 1e30)
+
+    def test_builds_each_member_once(self, monkeypatch):
+        built = collections.Counter()
+        member = hints.kbit_hint_strategy
+
+        def counting_member(r, k, hint, horizon):
+            built[hint.index] += 1
+            return member(r, k, hint, horizon)
+
+        monkeypatch.setattr(hints, "kbit_hint_strategy", counting_member)
+        preferred_partition(9.0, 3, 1e4)
+        assert built == {j: 1 for j in range(8)}
 
     def test_label_at_outside(self):
         part = preferred_partition(9.0, 1, 8.0)

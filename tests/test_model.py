@@ -1,6 +1,7 @@
 """Core model: segments, strategies, targets, search cost, robust bases."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,10 @@ class TestStrategy:
     def test_two_apart_shrink_rejected(self):
         with pytest.raises(ValueError, match=r"lengths\[2\]"):
             strategy_from_lengths([4.0, 1.0, 3.9])
+        with pytest.raises(ValueError, match=r"lengths\[2\]"):
+            strategy_from_lengths([4.0, 1.0, 4.0 * (1.0 - 1e-8)])
+        # a relative dip of 1e-12 is rounding, not shrinkage
+        assert len(strategy_from_lengths([4.0, 1.0, 4.0 * (1.0 - 1e-12)])) == 3
 
     def test_two_apart_equal_allowed(self):
         s = strategy_from_lengths([2.0, 1.0, 2.0, 1.0])
@@ -81,6 +86,37 @@ class TestStrategy:
         s = Strategy((Segment(3.0, 0),))
         assert s.last_turn_point(1) == 0.0
 
+    def test_arrays_read_only(self):
+        s = make_geometric(2.0, 4)
+        assert s.lengths.dtype == np.float64 and s.branches.dtype == np.int64
+        with pytest.raises(ValueError):
+            s.lengths[0] = 5.0
+        with pytest.raises(ValueError):
+            s.branches[0] = 1
+        with pytest.raises(AttributeError):
+            s.lengths = np.ones(4)
+
+    def test_from_arrays_copies_input(self):
+        lengths = np.array([1.0, 2.0, 4.0])
+        s = Strategy.from_arrays(lengths, [0, 1, 0])
+        lengths[0] = 9.0
+        assert s.lengths[0] == 1.0
+
+    def test_from_arrays_validation(self):
+        with pytest.raises(ValueError, match="branch must be 0 or 1, got 2"):
+            Strategy.from_arrays([1.0, 2.0], [0, 2])
+        with pytest.raises(ValueError, match="branch must be 0 or 1, got True"):
+            Strategy.from_arrays([1.0, 2.0], [True, False])
+        with pytest.raises(ValueError, match="got inf"):
+            Strategy.from_arrays([1.0, math.inf], [0, 1])
+        with pytest.raises(ValueError, match="one size"):
+            Strategy.from_arrays([1.0, 2.0], [0])
+
+    def test_segments_view(self):
+        s = make_geometric(2.0, 3, 1)
+        assert s.segments == (Segment(1.0, 1), Segment(2.0, 0), Segment(4.0, 1))
+        assert Strategy(s.segments) == s and hash(Strategy(s.segments)) == hash(s)
+
 
 class TestConstructors:
     def test_strategy_from_lengths_first_branch(self):
@@ -101,6 +137,12 @@ class TestConstructors:
             make_geometric(
                 kwargs["base"], kwargs["count"], scale=kwargs.get("scale", 1.0)
             )
+
+    def test_make_geometric_overflow_checked_first(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"2.0\*\*1999 overflows"):
+                make_geometric(2.0, 2000)
 
     def test_make_periodic_geometric(self):
         s = make_periodic_geometric(2.0, (1.0, 0.5), 6)
@@ -214,8 +256,11 @@ class TestSearchCost:
 class TestRobustBases:
     def test_rho(self):
         assert rho(9.0) == 4.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=">= 9"):
             rho(8.999)
+        for r in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="r must be finite"):
+                rho(r)
 
     def test_known_bases(self):
         assert base_for_robustness(9.0) == 2.0

@@ -1,13 +1,25 @@
-"""Randomized invariants: closed form vs measurement, scaling, extension."""
+"""Randomized invariants: closed form vs measurement, scaling, extension,
+and every batched fast path against its scalar reference."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cowpath.hints import position_hint_strategy
+from cowpath.hints import (
+    best_hint_index,
+    direction_family,
+    kbit_family,
+    position_family,
+    position_hint_strategy,
+    preferred_partition,
+)
 from cowpath.model import (
     PositionHint,
+    Segment,
+    Strategy,
     Target,
     make_geometric,
     robust_base_interval,
@@ -118,3 +130,103 @@ def test_position_member_trusts_its_hint(d, branch):
     cost = search_cost(member, Target(d, branch))
     assert cost is not None
     assert cost / d < 3.0
+
+
+@st.composite
+def length_lists(draw):
+    """Length lists that sometimes shrink two apart or hold a bad value."""
+    n = draw(st.integers(min_value=0, max_value=16))
+    factors = draw(
+        st.lists(
+            st.floats(min_value=0.6, max_value=2.5, **finite), min_size=n, max_size=n
+        )
+    )
+    lengths = [float(x) for x in np.cumprod(factors)]
+    if n and draw(st.booleans()):
+        bad = draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+        lengths[draw(st.integers(min_value=0, max_value=n - 1))] = bad
+    return lengths
+
+
+def _built_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lengths=length_lists(), first=st.integers(min_value=0, max_value=1))
+def test_array_strategy_matches_segment_strategy(lengths, first):
+    fast = _built_or_error(lambda: strategy_from_lengths(lengths, first))
+    slow = _built_or_error(
+        lambda: Strategy(
+            tuple(Segment(x, (first + i) % 2) for i, x in enumerate(lengths))
+        )
+    )
+    if isinstance(slow, str):
+        assert fast == slow
+        return
+    assert np.array_equal(fast.lengths, slow.lengths)
+    assert np.array_equal(fast.branches, slow.branches)
+    assert fast == slow and hash(fast) == hash(slow)
+    assert fast.segments == slow.segments
+
+
+@st.composite
+def hinted_families(draw):
+    name = draw(st.sampled_from(["position", "direction", "kbit"]))
+    if name == "position":
+        # The trusted rule does not depend on the hint grid; keep it small.
+        r = draw(st.floats(min_value=9.0, max_value=40.0, **finite))
+        return position_family(r, hints_per_decade=1)
+    if name == "direction":
+        b = draw(st.floats(min_value=1.5, max_value=4.0, **finite))
+        delta = draw(st.floats(min_value=1.0 / b, max_value=1.0, **finite))
+        return direction_family(b, delta)
+    r = draw(st.floats(min_value=9.0, max_value=40.0, **finite))
+    return kbit_family(r, draw(st.integers(min_value=1, max_value=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=hinted_families(),
+    ds=st.lists(
+        st.floats(min_value=1.0, max_value=2.0**30, **finite), min_size=1, max_size=8
+    ),
+)
+def test_batched_trusted_cost_matches_scalar_rule(family, ds):
+    members = {h: family.select(h) for h in family.hint_space}
+    for branch in (0, 1):
+        got = family.trusted_costs(members, np.asarray(ds), branch)
+        for d, cost in zip(ds, got):
+            target = Target(d, branch)
+            trusted = family.true_hint_of
+            hints = family.hint_space if trusted is None else [trusted(target)]
+            want = min(
+                c
+                for c in (search_cost(family.select(h), target) for h in hints)
+                if c is not None
+            )
+            assert cost == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    r=st.floats(min_value=9.0, max_value=40.0, **finite),
+    k=st.integers(min_value=1, max_value=4),
+    probes=st.lists(
+        st.tuples(
+            # The cells are half-open, (1, max]: d = 1 is a tie at its edge.
+            st.floats(min_value=1.0, max_value=1e4, exclude_min=True, **finite),
+            st.integers(min_value=0, max_value=1),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_partition_labels_match_best_hint(r, k, probes):
+    partition = preferred_partition(r, k, 1e4)
+    for d, branch in probes:
+        best = best_hint_index(r, k, Target(d, branch))
+        assert partition.label_at(d, branch) == best.index

@@ -1,5 +1,7 @@
 """Ratio evaluation: closed form, brute-force measurement, hinted families."""
 
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +32,7 @@ from cowpath.ratios import (
     tradeoff_to_json,
     worst_case_cost_at_turn,
 )
-from cowpath.hints import direction_family
+from cowpath.hints import direction_family, position_family
 
 
 class TestClosedForm:
@@ -202,6 +204,35 @@ class TestEvaluateHinted:
         fam = direction_family(2.0, 1.0)
         with pytest.raises(ValueError, match="hint_space"):
             evaluate_hinted(fam, hint_space=None)
+
+    def test_per_target_rule_not_accepted(self):
+        fam = direction_family(2.0, 1.0)
+        with pytest.raises(ValueError, match="true_hint_of must be None"):
+            evaluate_hinted(fam, true_hint_of=fam.true_hint_of)
+
+    def test_trusted_position_builds_each_member_once(self, monkeypatch):
+        family = position_family(9.0, hints_per_decade=8)
+        selected = collections.Counter()
+
+        def counting_select(hint):
+            selected[hint] += 1
+            return family.select(hint)
+
+        segments = []
+        post_init = Segment.__post_init__
+
+        def counting_post_init(self):
+            segments.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Segment, "__post_init__", counting_post_init)
+        point = evaluate_hinted(dataclasses.replace(family, select=counting_select))
+        assert point.consistency == pytest.approx(3.0, abs=1e-6)
+        assert set(selected) <= set(family.hint_space)
+        assert max(selected.values()) == 1
+        assert segments == []
+        Segment(1.0, 0)  # the counter is live
+        assert len(segments) == 1
 
 
 class TestAlternatingProfile:
