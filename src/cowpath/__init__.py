@@ -9,170 +9,12 @@ and numerically verifies the growth inequalities and tradeoff frontiers those
 scores obey.
 """
 
-from .model import (
-    DEFAULT_HORIZON,
-    BitStringHint,
-    DirectionHint,
-    Hint,
-    HorizonTooShort,
-    PositionHint,
-    Segment,
-    Strategy,
-    Target,
-    base_for_robustness,
-    cheapest_search_costs,
-    complement,
-    growth_rate_estimate,
-    make_geometric,
-    make_periodic_geometric,
-    rho,
-    robust_base_interval,
-    scale_strategy,
-    search_cost,
-    search_costs,
-    strategy_from_json,
-    strategy_from_lengths,
-    strategy_to_json,
-    target_from_json,
-    target_to_json,
-)
-from .ratios import (
-    TargetGrid,
-    TradeoffPoint,
-    alternating_profile,
-    competitive_ratio,
-    competitive_ratio_measured,
-    competitive_ratio_terms,
-    default_grid,
-    evaluate_hinted,
-    family_grid,
-    oracle_equivalence_gaps,
-    random_alternating_strategies,
-    tail_converged,
-    tradeoff_from_json,
-    tradeoff_to_json,
-    worst_case_cost_at_turn,
-)
-from .hints import (
-    HintedStrategy,
-    LabeledInterval,
-    LinePartition,
-    best_hint_index,
-    direction_family,
-    direction_hint_strategy,
-    direction_true_hint,
-    family_from_json,
-    family_to_json,
-    kbit_base,
-    kbit_family,
-    kbit_hint_strategy,
-    partition_from_json,
-    partition_to_json,
-    position_family,
-    position_hint_strategy,
-    position_true_hint,
-    preferred_partition,
-)
-from .bounds import (
-    FrontierCurve,
-    FrontierPoint,
-    InequalityReport,
-    LowerBound,
-    build_frontiers,
-    check_prefix_sum_bound,
-    check_segment_growth_lemma,
-    direction_frontier,
-    direction_tradeoff,
-    frontier_curve,
-    frontier_to_csv,
-    growth_lemma_sweep,
-    kbit_consistency_upper,
-    kbit_floor,
-    onebit_consistency_upper,
-    onebit_lower,
-    position_consistency_bound,
-    prefix_bound_sweep,
-    robust_base_grid,
-)
+from . import bounds, hints, model, ratios
+from .bounds import *
+from .hints import *
+from .model import *
+from .ratios import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_HORIZON",
-    "BitStringHint",
-    "DirectionHint",
-    "FrontierCurve",
-    "FrontierPoint",
-    "Hint",
-    "HintedStrategy",
-    "HorizonTooShort",
-    "InequalityReport",
-    "LabeledInterval",
-    "LinePartition",
-    "LowerBound",
-    "PositionHint",
-    "Segment",
-    "Strategy",
-    "Target",
-    "TargetGrid",
-    "TradeoffPoint",
-    "alternating_profile",
-    "base_for_robustness",
-    "best_hint_index",
-    "build_frontiers",
-    "cheapest_search_costs",
-    "check_prefix_sum_bound",
-    "check_segment_growth_lemma",
-    "competitive_ratio",
-    "competitive_ratio_measured",
-    "competitive_ratio_terms",
-    "complement",
-    "default_grid",
-    "direction_family",
-    "direction_frontier",
-    "direction_hint_strategy",
-    "direction_tradeoff",
-    "direction_true_hint",
-    "evaluate_hinted",
-    "family_from_json",
-    "family_grid",
-    "family_to_json",
-    "frontier_curve",
-    "frontier_to_csv",
-    "growth_lemma_sweep",
-    "growth_rate_estimate",
-    "kbit_base",
-    "kbit_consistency_upper",
-    "kbit_family",
-    "kbit_floor",
-    "kbit_hint_strategy",
-    "make_geometric",
-    "make_periodic_geometric",
-    "onebit_consistency_upper",
-    "onebit_lower",
-    "oracle_equivalence_gaps",
-    "partition_from_json",
-    "partition_to_json",
-    "position_consistency_bound",
-    "position_family",
-    "position_hint_strategy",
-    "position_true_hint",
-    "preferred_partition",
-    "prefix_bound_sweep",
-    "random_alternating_strategies",
-    "rho",
-    "robust_base_grid",
-    "robust_base_interval",
-    "scale_strategy",
-    "search_cost",
-    "search_costs",
-    "strategy_from_json",
-    "strategy_from_lengths",
-    "strategy_to_json",
-    "tail_converged",
-    "target_from_json",
-    "target_to_json",
-    "tradeoff_from_json",
-    "tradeoff_to_json",
-    "worst_case_cost_at_turn",
-]
+__all__ = [*model.__all__, *ratios.__all__, *hints.__all__, *bounds.__all__]

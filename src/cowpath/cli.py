@@ -126,9 +126,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--geometric field 'n' must be an integer >= 1, got {n:g}"
             )
-        first, scale = int(params.get("first", 0)), params.get("scale", 1.0)
+        first, scale = params.get("first", 0.0), params.get("scale", 1.0)
+        if first not in (0.0, 1.0):
+            raise ValueError(
+                f"--geometric field 'first' must be 0 or 1, got {first:g}"
+            )
         try:
-            strategy = make_geometric(b, int(n), first, scale)
+            strategy = make_geometric(b, int(n), int(first), scale)
         except ValueError as exc:
             raise ValueError(f"--geometric b={b:g}, n={int(n)}: {exc}") from None
         _print_strategy_report(strategy)

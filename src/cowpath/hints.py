@@ -123,32 +123,30 @@ def _position_base(r: float, horizon: int) -> float:
     return base
 
 
-def _anchor_index(base: float, distance: float) -> int:
-    """Smallest j >= 0 with base**j >= distance."""
-    j = max(0, math.ceil(math.log(distance, base) - 1e-12))
-    while base**j < distance:
-        j += 1
-    while j > 0 and base ** (j - 1) >= distance:
-        j -= 1
-    return j
+def _position_anchors(base: float, horizon: int) -> np.ndarray:
+    """Turn points base**j (Python powers) of the unshrunk position member.
+    A hint at distance d anchors at the smallest j with base**j >= d."""
+    return np.array([base**j for j in range(horizon)])
 
 
 def position_hint_strategy(
     r: float, hint: PositionHint, horizon: int = DEFAULT_HORIZON
 ) -> Strategy:
-    """Geometric base-b_r strategy shrunk so that turn point j_t (the smallest
-    with b_r**j_t >= hint.distance) lands exactly on the hinted position, with
-    segment j_t searching the hinted branch."""
+    """Geometric base-b_r strategy shrunk so that its anchor turn point j
+    lands exactly on the hinted position, with segment j searching the hinted
+    branch."""
     if not isinstance(hint, PositionHint):
         raise ValueError(f"position family needs a PositionHint, got {hint!r}")
     horizon = _check_horizon(horizon)
     base = _position_base(r, horizon)
-    j = _anchor_index(base, hint.distance)
-    if horizon <= j:
+    anchors = _position_anchors(base, horizon)
+    j = int(np.searchsorted(anchors, hint.distance, side="left"))
+    if j == horizon:
         raise HorizonTooShort(
-            f"horizon {horizon} must exceed the hinted iteration {j}"
+            f"hint distance {hint.distance!r} lies past horizon {horizon}: "
+            f"the farthest anchor is {anchors[-1]:.6g}"
         )
-    shrink = base**j / hint.distance  # in [1, base)
+    shrink = anchors[j] / hint.distance  # in [1, base)
     lengths = np.power(base, np.arange(horizon, dtype=float)) / shrink
     lengths[j] = hint.distance  # exact: rounding must not undershoot the hint
     first = hint.branch if j % 2 == 0 else complement(hint.branch)
@@ -165,8 +163,7 @@ def _position_trusted_costs(base: float, horizon: int):
     each target costs 2 * (b**0 + .. + b**(j-1)) / shrink + d, where j is the
     smallest index with b**j >= d and shrink = b**j / d.  NaN where j falls
     past the horizon."""
-    # Python powers, as in _anchor_index, so the anchors match select's.
-    anchors = np.array([base**j for j in range(horizon)])
+    anchors = _position_anchors(base, horizon)
     sums = np.zeros(horizon + 1)
     np.cumsum(np.power(base, np.arange(horizon, dtype=float)), out=sums[1:])
 

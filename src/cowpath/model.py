@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_HORIZON",
     "HorizonTooShort",
-    "Segment",
     "Strategy",
     "Target",
     "PositionHint",
@@ -73,54 +72,26 @@ def _check_distance(distance: float) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One excursion: walk to ``length`` on ``branch`` and back to the origin."""
-
-    length: float
-    branch: int
-
-    def __post_init__(self) -> None:
-        length = float(self.length)
-        if not math.isfinite(length) or length <= 0.0:
-            raise ValueError(
-                f"segment length must be positive and finite, got {self.length!r}"
-            )
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "branch", _check_branch(self.branch))
+def _check_length(length: float) -> float:
+    value = float(length)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(
+            f"segment length must be positive and finite, got {length!r}"
+        )
+    return value
 
 
 class Strategy:
     """A finite prefix of search iterations, held as two read-only arrays:
-    ``lengths`` (float64, finite and > 0) and ``branches`` (int64, 0 or 1).
+    ``lengths`` (float64, finite and > 0) and ``branches`` (int64, 0 or 1),
+    validated copies of the constructor's arguments.
 
     Lengths two steps apart may never shrink (lengths[i+2] >= lengths[i]);
     for alternating strategies this keeps each branch's turn points monotone.
     Branch alternation itself is not required here, only by the constructors.
-    ``Strategy(segments)`` builds from Segment objects;
-    ``Strategy.from_arrays`` builds from arrays without creating any.
     """
 
-    def __init__(self, segments: Sequence[Segment]) -> None:
-        segments = tuple(segments)
-        for i, seg in enumerate(segments):
-            if not isinstance(seg, Segment):
-                raise ValueError(f"segments[{i}] is not a Segment: {seg!r}")
-        self._set_arrays(
-            [seg.length for seg in segments], [seg.branch for seg in segments]
-        )
-        self.__dict__["segments"] = segments
-
-    @classmethod
-    def from_arrays(
-        cls, lengths: Sequence[float], branches: Sequence[int]
-    ) -> Strategy:
-        """Validated strategy over copies of the given arrays."""
-        strategy = cls.__new__(cls)
-        strategy._set_arrays(lengths, branches)
-        return strategy
-
-    def _set_arrays(self, lengths: Sequence[float], branches: Sequence[int]) -> None:
+    def __init__(self, lengths: Sequence[float], branches: Sequence[int]) -> None:
         lengths = np.array(lengths, dtype=float)
         branches = np.array(branches)
         if lengths.ndim != 1 or lengths.shape != branches.shape:
@@ -173,13 +144,6 @@ class Strategy:
         return self.lengths.size
 
     @cached_property
-    def segments(self) -> tuple[Segment, ...]:
-        return tuple(
-            Segment(length, branch)
-            for length, branch in zip(self.lengths.tolist(), self.branches.tolist())
-        )
-
-    @cached_property
     def prefix_sums(self) -> np.ndarray:
         """prefix_sums[i] = sum of lengths[0:i]; length N+1."""
         out = np.zeros(len(self) + 1)
@@ -196,15 +160,15 @@ class Strategy:
         return float(points[-1]) if points.size else 0.0
 
     @cached_property
-    def _per_branch(self) -> dict:
-        """Per branch: (segment indices, their lengths, lengths monotone?)."""
-        out = {}
+    def _per_branch(self) -> tuple:
+        """Per branch: (segment indices, running maximum of their lengths).
+        The first index where the running maximum reaches d is the first
+        segment on the branch that reaches d, even where lengths dip."""
+        out = []
         for branch in (0, 1):
             idx = np.flatnonzero(self.branches == branch)
-            lens = self.lengths[idx]
-            monotone = bool(np.all(np.diff(lens) >= 0.0)) if lens.size > 1 else True
-            out[branch] = (idx, lens, monotone)
-        return out
+            out.append((idx, np.maximum.accumulate(self.lengths[idx])))
+        return tuple(out)
 
 
 def strategy_from_lengths(
@@ -214,7 +178,7 @@ def strategy_from_lengths(
     first = _check_branch(first_branch)
     lengths = np.asarray(lengths, dtype=float)
     branches = (first + np.arange(lengths.size)) % 2
-    return Strategy.from_arrays(lengths, branches)
+    return Strategy(lengths, branches)
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -267,8 +231,14 @@ def make_periodic_geometric(
             raise ValueError(f"gammas[{j}] must be > 0, got {g!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    p = len(gam)
-    lengths = [gam[i % p] * base**i for i in range(int(count))]
+    p, count = len(gam), int(count)
+    for i in range(max(0, count - p), count):  # each gamma's longest length
+        if not math.isfinite(gam[i % p] * _pow(base, i)):
+            raise ValueError(
+                f"base={base!r} with count={count} overflows the float range: "
+                f"gammas[{i % p}] * {base!r}**{i}"
+            )
+    lengths = [gam[i % p] * base**i for i in range(count)]
     return strategy_from_lengths(lengths, first_branch)
 
 
@@ -277,7 +247,7 @@ def scale_strategy(strategy: Strategy, factor: float) -> Strategy:
     factor = float(factor)
     if not math.isfinite(factor) or factor <= 0.0:
         raise ValueError(f"factor must be > 0, got {factor!r}")
-    return Strategy.from_arrays(strategy.lengths * factor, strategy.branches)
+    return Strategy(strategy.lengths * factor, strategy.branches)
 
 
 @dataclass(frozen=True)
@@ -363,20 +333,11 @@ def search_costs(
     d = np.asarray(distances, dtype=float)
     if d.size and float(np.min(d)) < 1.0:
         raise ValueError("target distances must be >= 1")
+    idx, reach = strategy._per_branch[branch]
+    pos = np.searchsorted(reach, d, side="left")
+    found = pos < reach.size
     out = np.full(d.shape, np.nan)
-    idx, lens, monotone = strategy._per_branch[branch]
-    if idx.size == 0:
-        return out
-    if monotone:
-        pos = np.searchsorted(lens, d, side="left")
-        found = pos < lens.size
-        seg_idx = idx[pos[found]]
-    else:
-        # Rare path: hand-built strategies whose per-branch lengths dip.
-        covers = lens[None, :] >= d[:, None]
-        found = covers.any(axis=1)
-        seg_idx = idx[covers.argmax(axis=1)[found]]
-    out[found] = 2.0 * strategy.prefix_sums[seg_idx] + d[found]
+    out[found] = 2.0 * strategy.prefix_sums[idx[pos[found]]] + d[found]
     return out
 
 
@@ -439,11 +400,8 @@ def growth_rate_estimate(strategy: Strategy) -> float:
 
 def strategy_to_json(strategy: Strategy) -> dict:
     """JSON object form: {"segments": [{"length": .., "branch": 0|1}, ..]}."""
-    return {
-        "segments": [
-            {"length": seg.length, "branch": seg.branch} for seg in strategy.segments
-        ]
-    }
+    pairs = zip(strategy.lengths.tolist(), strategy.branches.tolist())
+    return {"segments": [{"length": x, "branch": b} for x, b in pairs]}
 
 
 def strategy_from_json(obj: object) -> Strategy:
@@ -455,7 +413,7 @@ def strategy_from_json(obj: object) -> Strategy:
     raw = obj["segments"]
     if not isinstance(raw, list):
         raise ValueError("field 'segments' must be a list")
-    segments = []
+    lengths, branches = [], []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ValueError(f"segments[{i}] must be an object")
@@ -463,10 +421,11 @@ def strategy_from_json(obj: object) -> Strategy:
             if key not in entry:
                 raise ValueError(f"segments[{i}] is missing field '{key}'")
         try:
-            segments.append(Segment(entry["length"], entry["branch"]))
+            lengths.append(_check_length(entry["length"]))
+            branches.append(_check_branch(entry["branch"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"segments[{i}]: {exc}") from exc
-    return Strategy(tuple(segments))
+    return Strategy(lengths, branches)
 
 
 def target_to_json(target: Target) -> dict:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hints import cheapest_trusted_costs
+from .hints import HintedStrategy
 from .model import (
     DEFAULT_HORIZON,
     HorizonTooShort,
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _METHODS = ("closed_form", "measured")
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -209,40 +208,24 @@ def competitive_ratio_measured(
 
 
 def evaluate_hinted(
-    family,
-    true_hint_of=_UNSET,
-    hint_space=_UNSET,
-    grid: Optional[TargetGrid] = None,
+    family: HintedStrategy, grid: Optional[TargetGrid] = None
 ) -> TradeoffPoint:
     """Measured consistency and robustness of a hinted family.
 
     Consistency is the worst ratio over targets when the hint is trusted:
     the family's batched ``trusted_costs`` rule gives, per target, the cost
-    of the member its trusted hint selects.  With ``true_hint_of=None``, or
-    for a bare ``select`` callable, the whole hint space is trusted and the
-    cheapest member counts.  Robustness is the worst member's measured competitive
-    ratio, each member probed at its own turn points (the adversarial targets
-    are member-specific).  Targets no trusted member finds raise
-    HorizonTooShort.  Each hint's member is built once.
+    of the member its trusted hint selects.  To trust the whole hint space
+    (the cheapest member counts), pass
+    ``dataclasses.replace(family, trusted_costs=cheapest_trusted_costs)``.
+    Robustness is the worst member's measured competitive ratio, each member
+    probed at its own turn points (the adversarial targets are
+    member-specific).  Targets no trusted member finds raise HorizonTooShort.
+    Each hint's member is built once.
     """
-    select = getattr(family, "select", family)
-    if not callable(select):
-        raise ValueError("family must provide a callable select(hint) rule")
-    if hint_space is _UNSET:
-        hint_space = getattr(family, "hint_space", None)
-    if true_hint_of is _UNSET:
-        trusted_costs = getattr(family, "trusted_costs", cheapest_trusted_costs)
-    elif true_hint_of is None:
-        trusted_costs = cheapest_trusted_costs
-    else:
-        raise ValueError(
-            "true_hint_of must be None (trust the whole hint space); the "
-            "family's trusted_costs rule scores its own trusted hints"
-        )
-    if not hint_space:
+    hints = family.hint_space
+    if not hints:
         raise ValueError("hint_space must be a non-empty finite collection")
-    hints = tuple(hint_space)
-    members = [select(h) for h in hints]
+    members = [family.select(h) for h in hints]
     if grid is None:
         grid = family_grid(members)
     distances = np.asarray(grid.distances)
@@ -250,7 +233,7 @@ def evaluate_hinted(
     by_hint = dict(zip(hints, members))
     consistency = 1.0
     for branch in (0, 1):
-        costs = trusted_costs(by_hint, distances, branch)
+        costs = family.trusted_costs(by_hint, distances, branch)
         missed = ~np.isfinite(costs)
         if missed.any():
             d_bad = float(distances[missed][0])

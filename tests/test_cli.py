@@ -108,6 +108,23 @@ class TestEval:
         assert code == 2 and out == ""
         assert f"--geometric field 'n' must be an integer >= 1, got {n}" in err
 
+    @pytest.mark.parametrize("first", ["0.7", "2", "-1"])
+    def test_geometric_first_must_be_a_branch(self, capsys, first):
+        code, out, err = run(
+            capsys, "eval", "--geometric", "b=2", f"first={first}", "n=4"
+        )
+        assert code == 2 and out == ""
+        assert "--geometric field 'first' must be 0 or 1" in err
+        assert "Traceback" not in err
+
+    def test_position_hint_past_horizon(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--family", "position", "--r-params", "r=9",
+            "--horizon", "3",
+        )
+        assert code == 3 and out == ""
+        assert "hint distance" in err and "past horizon 3" in err
+
     @pytest.mark.parametrize(
         "argv,names",
         [
@@ -350,6 +367,17 @@ class TestTopLevel:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2
+
+    def test_public_names_are_the_module_lists(self):
+        import cowpath
+        from cowpath import bounds, hints, model, ratios
+
+        names = [n for m in (model, ratios, hints, bounds) for n in m.__all__]
+        assert len(set(names)) == len(names)
+        assert sorted(cowpath.__all__) == sorted(names)
+        for m in (model, ratios, hints, bounds):
+            for name in m.__all__:
+                assert getattr(cowpath, name) is getattr(m, name)
 
     def test_import_loads_no_scipy(self):
         # cowpath needs numpy only; a subprocess sees a fresh sys.modules

@@ -80,8 +80,11 @@ class TestPositionHintStrategy:
             position_hint_strategy(9.0, DirectionHint(0))
 
     def test_horizon_too_short(self):
-        with pytest.raises(HorizonTooShort):
+        with pytest.raises(HorizonTooShort, match=r"distance \S+e\+21 .* horizon 64"):
             position_hint_strategy(9.0, PositionHint(2.0**70, 0), horizon=64)
+        # the farthest anchor 2**63 is still reached
+        s = position_hint_strategy(9.0, PositionHint(2.0**63, 0), horizon=64)
+        assert s.lengths[63] == 2.0**63
 
     def test_family_descriptor(self):
         fam = position_family(9.0, max_hint_distance=2.0**10, hints_per_decade=16)

@@ -1,4 +1,4 @@
-"""Core model: segments, strategies, targets, search cost, robust bases."""
+"""Core model: strategies, targets, search cost, robust bases."""
 
 import math
 import warnings
@@ -10,7 +10,6 @@ from cowpath.model import (
     BitStringHint,
     DirectionHint,
     PositionHint,
-    Segment,
     Strategy,
     Target,
     base_for_robustness,
@@ -32,30 +31,35 @@ from cowpath.model import (
 
 
 class TestSegment:
+    """One segment's length and branch, checked by the constructor and by
+    the JSON form."""
+
     def test_fields_coerced(self):
-        seg = Segment(2, 1)
-        assert seg.length == 2.0 and isinstance(seg.length, float)
-        assert seg.branch == 1
+        s = Strategy([2], [1])
+        assert s.lengths.dtype == np.float64 and s.lengths[0] == 2.0
+        assert s.branches.dtype == np.int64 and s.branches[0] == 1
+        s = strategy_from_json({"segments": [{"length": 2, "branch": 1.0}]})
+        assert s == Strategy([2.0], [1])
 
     @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
     def test_bad_length(self, length):
-        with pytest.raises(ValueError):
-            Segment(length, 0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Strategy([length], [0])
+        with pytest.raises(ValueError, match=r"segments\[0\]: segment length"):
+            strategy_from_json({"segments": [{"length": length, "branch": 0}]})
 
     @pytest.mark.parametrize("branch", [2, -1, True, False, 0.5])
     def test_bad_branch(self, branch):
-        with pytest.raises(ValueError):
-            Segment(1.0, branch)
+        with pytest.raises(ValueError, match="branch must be 0 or 1"):
+            Strategy([1.0], [branch])
+        with pytest.raises(ValueError, match=r"segments\[0\]: branch must be"):
+            strategy_from_json({"segments": [{"length": 1.0, "branch": branch}]})
 
 
 class TestStrategy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one segment"):
-            Strategy(())
-
-    def test_non_segment_rejected(self):
-        with pytest.raises(ValueError, match=r"segments\[1\]"):
-            Strategy((Segment(1.0, 0), "nope"))
+            Strategy([], [])
 
     def test_two_apart_shrink_rejected(self):
         with pytest.raises(ValueError, match=r"lengths\[2\]"):
@@ -83,7 +87,7 @@ class TestStrategy:
         assert s.last_turn_point(1) == 8.0
 
     def test_last_turn_point_unsearched_branch(self):
-        s = Strategy((Segment(3.0, 0),))
+        s = Strategy([3.0], [0])
         assert s.last_turn_point(1) == 0.0
 
     def test_arrays_read_only(self):
@@ -96,26 +100,21 @@ class TestStrategy:
         with pytest.raises(AttributeError):
             s.lengths = np.ones(4)
 
-    def test_from_arrays_copies_input(self):
+    def test_constructor_copies_input(self):
         lengths = np.array([1.0, 2.0, 4.0])
-        s = Strategy.from_arrays(lengths, [0, 1, 0])
+        s = Strategy(lengths, [0, 1, 0])
         lengths[0] = 9.0
         assert s.lengths[0] == 1.0
 
-    def test_from_arrays_validation(self):
+    def test_constructor_validation(self):
         with pytest.raises(ValueError, match="branch must be 0 or 1, got 2"):
-            Strategy.from_arrays([1.0, 2.0], [0, 2])
+            Strategy([1.0, 2.0], [0, 2])
         with pytest.raises(ValueError, match="branch must be 0 or 1, got True"):
-            Strategy.from_arrays([1.0, 2.0], [True, False])
+            Strategy([1.0, 2.0], [True, False])
         with pytest.raises(ValueError, match="got inf"):
-            Strategy.from_arrays([1.0, math.inf], [0, 1])
+            Strategy([1.0, math.inf], [0, 1])
         with pytest.raises(ValueError, match="one size"):
-            Strategy.from_arrays([1.0, 2.0], [0])
-
-    def test_segments_view(self):
-        s = make_geometric(2.0, 3, 1)
-        assert s.segments == (Segment(1.0, 1), Segment(2.0, 0), Segment(4.0, 1))
-        assert Strategy(s.segments) == s and hash(Strategy(s.segments)) == hash(s)
+            Strategy([1.0, 2.0], [0])
 
 
 class TestConstructors:
@@ -153,6 +152,16 @@ class TestConstructors:
             make_periodic_geometric(2.0, (), 4)
         with pytest.raises(ValueError, match=r"gammas\[1\]"):
             make_periodic_geometric(2.0, (1.0, -2.0), 4)
+
+    def test_make_periodic_geometric_overflow_checked_first(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"base=1\S+ with count=64 over"):
+                make_periodic_geometric(1e10, (1.0,), 64)
+            # the large gamma sits at an odd index, one before the last
+            with pytest.raises(ValueError, match=r"gammas\[1\] \* 2.0\*\*39"):
+                make_periodic_geometric(2.0, (1.0, 1e300), 41)
+        assert len(make_periodic_geometric(2.0, (1.0, 1e300), 18)) == 18
 
     def test_scale_strategy(self):
         s = scale_strategy(make_geometric(2.0, 3), 0.25)
@@ -234,8 +243,8 @@ class TestSearchCost:
                         assert ci == scalar
 
     def test_non_monotone_branch_fallback(self):
-        # branch 0 lengths (5, 2) dip, exercising the covers-matrix path
-        s = Strategy((Segment(5.0, 0), Segment(2.0, 0), Segment(6.0, 1)))
+        # branch 0 lengths (5, 2) dip: the running maximum finds segment 0
+        s = Strategy([5.0, 2.0, 6.0], [0, 0, 1])
         d = np.array([1.0, 3.0, 5.0, 5.5])
         got = search_costs(s, d, 0)
         assert np.allclose(got[:3], [1.0, 3.0, 5.0])
@@ -249,7 +258,7 @@ class TestSearchCost:
             search_costs(s, np.array([0.5, 2.0]), 0)
 
     def test_unsearched_branch_all_nan(self):
-        s = Strategy((Segment(4.0, 0),))
+        s = Strategy([4.0], [0])
         assert np.all(np.isnan(search_costs(s, np.array([1.0, 2.0]), 1)))
 
 
@@ -285,7 +294,7 @@ class TestGrowthRate:
 
     def test_needs_two_segments(self):
         with pytest.raises(ValueError):
-            growth_rate_estimate(Strategy((Segment(1.0, 0),)))
+            growth_rate_estimate(Strategy([1.0], [0]))
 
 
 class TestJson:

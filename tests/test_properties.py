@@ -1,8 +1,6 @@
 """Randomized invariants: closed form vs measurement, scaling, extension,
 and every batched fast path against its scalar reference."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +16,6 @@ from cowpath.hints import (
 )
 from cowpath.model import (
     PositionHint,
-    Segment,
     Strategy,
     Target,
     make_geometric,
@@ -133,44 +130,40 @@ def test_position_member_trusts_its_hint(d, branch):
 
 
 @st.composite
-def length_lists(draw):
-    """Length lists that sometimes shrink two apart or hold a bad value."""
-    n = draw(st.integers(min_value=0, max_value=16))
-    factors = draw(
+def two_apart_strategies(draw):
+    """Strategies with random branches: each parity class of the lengths is
+    sorted, so the two-apart rule holds but a branch's lengths may dip."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    lengths = draw(
         st.lists(
-            st.floats(min_value=0.6, max_value=2.5, **finite), min_size=n, max_size=n
+            st.floats(min_value=0.5, max_value=100.0, **finite),
+            min_size=n,
+            max_size=n,
         )
     )
-    lengths = [float(x) for x in np.cumprod(factors)]
-    if n and draw(st.booleans()):
-        bad = draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
-        lengths[draw(st.integers(min_value=0, max_value=n - 1))] = bad
-    return lengths
-
-
-def _built_or_error(build):
-    try:
-        return build()
-    except ValueError as exc:
-        return str(exc)
+    lengths[0::2] = sorted(lengths[0::2])
+    lengths[1::2] = sorted(lengths[1::2])
+    branches = draw(
+        st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n)
+    )
+    return Strategy(lengths, branches)
 
 
 @settings(max_examples=100, deadline=None)
-@given(lengths=length_lists(), first=st.integers(min_value=0, max_value=1))
-def test_array_strategy_matches_segment_strategy(lengths, first):
-    fast = _built_or_error(lambda: strategy_from_lengths(lengths, first))
-    slow = _built_or_error(
-        lambda: Strategy(
-            tuple(Segment(x, (first + i) % 2) for i, x in enumerate(lengths))
-        )
-    )
-    if isinstance(slow, str):
-        assert fast == slow
-        return
-    assert np.array_equal(fast.lengths, slow.lengths)
-    assert np.array_equal(fast.branches, slow.branches)
-    assert fast == slow and hash(fast) == hash(slow)
-    assert fast.segments == slow.segments
+@given(
+    s=two_apart_strategies(),
+    extra=st.lists(st.floats(min_value=1.0, max_value=130.0, **finite), max_size=8),
+)
+def test_search_costs_match_scalar_on_any_branches(s, extra):
+    turns = np.concatenate([s.lengths, s.lengths * (1.0 + 1e-9)])
+    ds = np.concatenate([turns[turns >= 1.0], extra])
+    for branch in (0, 1):
+        for d, v in zip(ds, search_costs(s, ds, branch)):
+            scalar = search_cost(s, Target(float(d), branch))
+            if scalar is None:
+                assert np.isnan(v)
+            else:
+                assert v == scalar
 
 
 @st.composite
