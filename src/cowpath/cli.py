@@ -44,6 +44,8 @@ __all__ = ["main"]
 
 _INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
+_MAX_R_POINTS = 10**6
+
 
 def _parse_r_range(text: str) -> tuple[float, ...]:
     """Inclusive start:stop:step range; a bare number is a one-point range."""
@@ -58,12 +60,16 @@ def _parse_r_range(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if step <= 0 or stop < start:
+    if not (step > 0 and stop >= start):  # also rejects nan
         raise argparse.ArgumentTypeError(
             f"range needs stop >= start and step > 0, got {text!r}"
         )
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_R_POINTS:  # also rejects inf
+        raise argparse.ArgumentTypeError(
+            f"range must hold at most {_MAX_R_POINTS} points, got {text!r}"
+        )
+    return tuple(start + i * step for i in range(math.floor(steps) + 1))
 
 
 def _kv_pairs(items: Sequence[str], what: str) -> dict[str, float]:
@@ -336,7 +342,10 @@ def _apply_config(
         if dest not in known:
             raise ValueError(f"config has no matching flag for field '{key}'")
         if dest == "r" and args.command == "frontier":
-            value = _parse_r_range(str(value))
+            try:
+                value = _parse_r_range(str(value))
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config field 'r' (--r): {exc}") from None
         elif dest == "r":
             value = float(value)
         defaults[dest] = value

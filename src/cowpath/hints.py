@@ -53,10 +53,8 @@ __all__ = [
     "kbit_family",
     "best_hint_index",
     "preferred_partition",
-    "family_to_json",
     "family_from_json",
     "partition_to_json",
-    "partition_from_json",
 ]
 
 
@@ -379,15 +377,6 @@ class LinePartition:
     def intervals(self, branch: int) -> tuple[LabeledInterval, ...]:
         return self.branch0 if branch == 0 else self.branch1
 
-    def label_at(self, distance: float, branch: int) -> int:
-        """Label of the interval containing (distance, branch)."""
-        for interval in self.intervals(branch):
-            if interval.lo < distance <= interval.hi or (
-                distance == interval.lo == 1.0
-            ):
-                return interval.label
-        raise ValueError(f"distance {distance} outside the partition")
-
 
 def preferred_partition(
     r: float, k: int, max_distance: float, horizon: int = DEFAULT_HORIZON
@@ -419,17 +408,6 @@ def preferred_partition(
         los, his = bounds[starts].tolist(), bounds[ends].tolist()
         sides.append(tuple(map(LabeledInterval, los, his, labels[starts].tolist())))
     return LinePartition(*sides)
-
-
-def family_to_json(family: HintedStrategy) -> dict:
-    """Descriptor form: {"family": .., "r": .., "b": .., "delta": .., "k": ..}
-    with only the parameters the family uses."""
-    out: dict = {"family": family.family}
-    for key in ("r", "b", "delta", "k"):
-        value = getattr(family, key)
-        if value is not None:
-            out[key] = value
-    return out
 
 
 def family_from_json(obj: object, horizon: int = DEFAULT_HORIZON) -> HintedStrategy:
@@ -471,25 +449,3 @@ def partition_to_json(partition: LinePartition) -> dict:
         ]
         for branch in (0, 1)
     }
-
-
-def partition_from_json(obj: object) -> LinePartition:
-    """Parse the partition JSON form; errors name the offending field."""
-    if not isinstance(obj, dict):
-        raise ValueError("partition JSON must be an object")
-    sides = []
-    for name in ("branch0", "branch1"):
-        if name not in obj or not isinstance(obj[name], list):
-            raise ValueError(f"partition JSON needs list field '{name}'")
-        intervals = []
-        for i, entry in enumerate(obj[name]):
-            if not isinstance(entry, dict):
-                raise ValueError(f"{name}[{i}] must be an object")
-            for key in ("lo", "hi", "label"):
-                if key not in entry:
-                    raise ValueError(f"{name}[{i}] is missing field '{key}'")
-            intervals.append(
-                LabeledInterval(entry["lo"], entry["hi"], entry["label"])
-            )
-        sides.append(tuple(intervals))
-    return LinePartition(sides[0], sides[1])

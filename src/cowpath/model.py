@@ -29,7 +29,6 @@ __all__ = [
     "complement",
     "strategy_from_lengths",
     "make_geometric",
-    "make_periodic_geometric",
     "scale_strategy",
     "search_cost",
     "search_costs",
@@ -37,11 +36,8 @@ __all__ = [
     "rho",
     "base_for_robustness",
     "robust_base_interval",
-    "growth_rate_estimate",
     "strategy_to_json",
     "strategy_from_json",
-    "target_to_json",
-    "target_from_json",
 ]
 
 DEFAULT_HORIZON = 64
@@ -93,7 +89,7 @@ class Strategy:
 
     def __init__(self, lengths: Sequence[float], branches: Sequence[int]) -> None:
         lengths = np.array(lengths, dtype=float)
-        branches = np.array(branches)
+        given, branches = branches, np.array(branches)
         if lengths.ndim != 1 or lengths.shape != branches.shape:
             raise ValueError("lengths and branches must be 1-D and of one size")
         if lengths.size == 0:
@@ -108,6 +104,11 @@ class Strategy:
         if branches.dtype == bool or bad.any():
             got = branches[np.argmax(bad)].item()
             raise ValueError(f"branch must be 0 or 1, got {got!r}")
+        if not isinstance(given, np.ndarray):
+            # numpy reads a list mixing ints and bools as ints
+            for branch in given:
+                if isinstance(branch, (bool, np.bool_)):
+                    raise ValueError(f"branch must be 0 or 1, got {bool(branch)!r}")
         shrunk = lengths[2:] < lengths[:-2] * (1.0 - _REL_TOL)
         if shrunk.any():
             i = int(np.argmax(shrunk))
@@ -210,35 +211,6 @@ def make_geometric(
             "the float range"
         )
     lengths = scale * np.power(base, np.arange(int(count), dtype=float))
-    return strategy_from_lengths(lengths, first_branch)
-
-
-def make_periodic_geometric(
-    base: float,
-    gammas: Sequence[float],
-    count: int,
-    first_branch: int = 0,
-) -> Strategy:
-    """Lengths gammas[i mod p] * base**i with alternating branches."""
-    base = float(base)
-    if not math.isfinite(base) or base <= 1.0:
-        raise ValueError(f"base must be > 1, got {base!r}")
-    gam = [float(g) for g in gammas]
-    if not gam:
-        raise ValueError("gammas must be non-empty")
-    for j, g in enumerate(gam):
-        if not math.isfinite(g) or g <= 0.0:
-            raise ValueError(f"gammas[{j}] must be > 0, got {g!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    p, count = len(gam), int(count)
-    for i in range(max(0, count - p), count):  # each gamma's longest length
-        if not math.isfinite(gam[i % p] * _pow(base, i)):
-            raise ValueError(
-                f"base={base!r} with count={count} overflows the float range: "
-                f"gammas[{i % p}] * {base!r}**{i}"
-            )
-    lengths = [gam[i % p] * base**i for i in range(count)]
     return strategy_from_lengths(lengths, first_branch)
 
 
@@ -387,17 +359,6 @@ def robust_base_interval(r: float) -> tuple[float, float]:
     return ((p - s) / 2.0, (p + s) / 2.0)
 
 
-def growth_rate_estimate(strategy: Strategy) -> float:
-    """Finite-prefix growth estimate: max of lengths[n]**(1/n) over the last
-    half of the indices."""
-    n = len(strategy)
-    if n < 2:
-        raise ValueError("growth rate needs at least 2 segments")
-    start = max(1, n // 2)
-    idx = np.arange(start, n, dtype=float)
-    return float(np.max(strategy.lengths[start:] ** (1.0 / idx)))
-
-
 def strategy_to_json(strategy: Strategy) -> dict:
     """JSON object form: {"segments": [{"length": .., "branch": 0|1}, ..]}."""
     pairs = zip(strategy.lengths.tolist(), strategy.branches.tolist())
@@ -426,21 +387,3 @@ def strategy_from_json(obj: object) -> Strategy:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"segments[{i}]: {exc}") from exc
     return Strategy(lengths, branches)
-
-
-def target_to_json(target: Target) -> dict:
-    """JSON object form: {"distance": .., "branch": 0|1}."""
-    return {"distance": target.distance, "branch": target.branch}
-
-
-def target_from_json(obj: object) -> Target:
-    """Parse the target JSON object form; errors name the offending field."""
-    if not isinstance(obj, dict):
-        raise ValueError("target JSON must be an object")
-    for key in ("distance", "branch"):
-        if key not in obj:
-            raise ValueError(f"target JSON is missing field '{key}'")
-    try:
-        return Target(obj["distance"], obj["branch"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"target: {exc}") from exc

@@ -26,17 +26,13 @@ from .model import (
 __all__ = [
     "TradeoffPoint",
     "TargetGrid",
-    "tradeoff_to_json",
-    "tradeoff_from_json",
     "default_grid",
     "family_grid",
-    "worst_case_cost_at_turn",
     "competitive_ratio_terms",
     "competitive_ratio",
     "competitive_ratio_measured",
     "tail_converged",
     "evaluate_hinted",
-    "alternating_profile",
     "random_alternating_strategies",
     "oracle_equivalence_gaps",
 ]
@@ -48,8 +44,9 @@ _METHODS = ("closed_form", "measured")
 class TradeoffPoint:
     """A (consistency, robustness) pair with its evaluation method.
 
-    ``converged`` reports whether the last five ratio terms sat within 1e-6
-    of the supremum (finite prefixes only approach the true suprema).
+    ``converged`` reports whether the last five ratio terms of each parity
+    sat within 1e-6 of their maximum (finite prefixes only approach the true
+    suprema).
     """
 
     consistency: float
@@ -71,45 +68,13 @@ class TradeoffPoint:
         object.__setattr__(self, "converged", bool(self.converged))
 
 
-def tradeoff_to_json(point: TradeoffPoint) -> dict:
-    """JSON form; an infinite robustness serializes as the string "inf"."""
-    robustness: object = point.robustness
-    if math.isinf(point.robustness):
-        robustness = "inf"
-    return {
-        "consistency": point.consistency,
-        "robustness": robustness,
-        "method": point.method,
-        "converged": point.converged,
-    }
-
-
-def tradeoff_from_json(obj: object) -> TradeoffPoint:
-    if not isinstance(obj, dict):
-        raise ValueError("tradeoff JSON must be an object")
-    for key in ("consistency", "robustness", "method", "converged"):
-        if key not in obj:
-            raise ValueError(f"tradeoff JSON is missing field '{key}'")
-    robustness = obj["robustness"]
-    if robustness == "inf":
-        robustness = math.inf
-    return TradeoffPoint(
-        obj["consistency"], robustness, obj["method"], obj["converged"]
-    )
-
-
 @dataclass(frozen=True)
 class TargetGrid:
-    """Sorted target distances (>= 1) plus the relative offset used to place
-    probes just past turn points."""
+    """Sorted target distances, each finite and >= 1."""
 
     distances: tuple[float, ...]
-    epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
-        eps = float(self.epsilon)
-        if not 0.0 < eps <= 1e-3:
-            raise ValueError(f"epsilon must be in (0, 1e-3], got {self.epsilon!r}")
         d = np.asarray(self.distances, dtype=float)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("target grid must contain at least one distance")
@@ -120,47 +85,37 @@ class TargetGrid:
         if np.any(d[1:] < d[:-1]):
             raise ValueError("grid distances must be sorted ascending")
         object.__setattr__(self, "distances", tuple(d.tolist()))
-        object.__setattr__(self, "epsilon", eps)
 
 
-def default_grid(
-    strategy: Strategy, points: int = 64, epsilon: float = 1e-9
-) -> TargetGrid:
-    """Turn points (offset by 1+epsilon) plus a log-spaced safety net on
-    [1, farthest turn point]."""
-    turn = strategy.lengths * (1.0 + epsilon)
-    hi = max(float(np.max(strategy.lengths)), 1.0)
-    net = np.logspace(0.0, math.log10(hi), max(int(points), 2))
-    distances = np.unique(np.concatenate([turn[turn >= 1.0], net, [1.0]]))
-    return TargetGrid(distances, epsilon)
+def _turn_probes(lengths: np.ndarray) -> np.ndarray:
+    """One ulp past each turn point, dropping probes below distance 1.
+
+    Between two turn points a target costs C + d, so cost / d falls across
+    the cell and its supremum is the right limit at the cell's left end:
+    the probe just past a turn point is within one ulp of it.
+    """
+    probes = np.nextafter(lengths, np.inf)
+    return probes[probes >= 1.0]
 
 
-def family_grid(
-    members: Iterable[Strategy], points: int = 64, epsilon: float = 1e-9
-) -> TargetGrid:
-    """Joint grid for a family: every member's turn points (offset), capped at
-    the smallest per-branch reach so each target is inside every horizon."""
+def default_grid(strategy: Strategy) -> TargetGrid:
+    """Distance 1 plus one probe just past each of the strategy's turn
+    points: the left end of every cell."""
+    return TargetGrid(np.unique(np.append(_turn_probes(strategy.lengths), 1.0)))
+
+
+def family_grid(members: Iterable[Strategy]) -> TargetGrid:
+    """Joint grid for a family: distance 1 plus a probe just past every
+    member's turn points, capped at the smallest per-branch reach so each
+    target is inside every horizon."""
     members = list(members)
     if not members:
         raise ValueError("family grid needs at least one member strategy")
     cap = min(m.last_turn_point(branch) for m in members for branch in (0, 1))
     if cap < 1.0:
         raise ValueError("family horizon does not reach distance 1 on both branches")
-    turn = np.concatenate([m.lengths for m in members]) * (1.0 + epsilon)
-    net = np.logspace(0.0, math.log10(cap), max(int(points), 2))
-    merged = np.concatenate([turn, net, [1.0]])
-    merged = merged[(merged >= 1.0) & (merged <= cap)]
-    return TargetGrid(np.unique(merged), epsilon)
-
-
-def worst_case_cost_at_turn(strategy: Strategy, i: int) -> float:
-    """Cost of finding a target hidden just past turn point i (in the limit):
-    2 * (x_0 + .. + x_i) + x_{i-1}, with x_{-1} = 1."""
-    n = len(strategy)
-    if not 0 <= i < n:
-        raise IndexError(f"turn index {i} out of range for {n} segments")
-    prev = float(strategy.lengths[i - 1]) if i > 0 else 1.0
-    return float(2.0 * strategy.prefix_sums[i + 1] + prev)
+    probes = _turn_probes(np.concatenate([m.lengths for m in members]))
+    return TargetGrid(np.unique(np.append(probes[probes <= cap], 1.0)))
 
 
 def competitive_ratio_terms(strategy: Strategy) -> np.ndarray:
@@ -178,24 +133,27 @@ def competitive_ratio(strategy: Strategy) -> float:
     return float(np.max(competitive_ratio_terms(strategy)))
 
 
-def tail_converged(values: np.ndarray, window: int = 5, tol: float = 1e-6) -> bool:
-    """True when the last ``window`` values sit within ``tol`` of the max."""
+_TAIL_WINDOW = 5
+_TAIL_TOL = 1e-6
+
+
+def tail_converged(values: np.ndarray) -> bool:
+    """True when the last five values sit within 1e-6 of the max."""
     v = np.asarray(values, dtype=float)
-    if v.size < window:
+    if v.size < _TAIL_WINDOW:
         return False
-    return bool(float(np.max(v)) - float(np.min(v[-window:])) <= tol)
+    return bool(float(np.max(v)) - float(np.min(v[-_TAIL_WINDOW:])) <= _TAIL_TOL)
 
 
 def competitive_ratio_measured(
     strategy: Strategy, grid: Optional[TargetGrid] = None
 ) -> float:
     """Brute-force competitive ratio: max of search_cost/d over the grid
-    distances and the strategy's own turn points (offset by 1+epsilon), on
+    distances and one ulp past each of the strategy's own turn points, on
     both branches, restricted to targets the prefix actually finds."""
     if grid is None:
         grid = default_grid(strategy)
-    turn = strategy.lengths * (1.0 + grid.epsilon)
-    d = np.unique(np.concatenate([np.asarray(grid.distances), turn[turn >= 1.0]]))
+    d = np.unique(np.concatenate([grid.distances, _turn_probes(strategy.lengths)]))
     best = -math.inf
     for branch in (0, 1):
         costs = search_costs(strategy, d, branch)
@@ -244,35 +202,13 @@ def evaluate_hinted(
         consistency = max(consistency, float(np.max(costs / distances)))
 
     robustness = max(competitive_ratio_measured(m) for m in members)
-    converged = all(tail_converged(competitive_ratio_terms(m)) for m in members)
-    return TradeoffPoint(consistency, robustness, "measured", converged)
-
-
-def alternating_profile(strategy: Strategy) -> TradeoffPoint:
-    """Closed-form (consistency, robustness) functionals of an alternating
-    strategy whose first segment searches the hinted branch.
-
-    consistency terms: 1 + 2*(x_0+..+x_{2k+1})/x_{2k}
-    robustness terms:  1 + 2*(x_0+..+x_{2k})/x_{2k-1}, with x_{-1} = 1.
-    """
-    if len(strategy) < 2:
-        raise ValueError("alternating profile needs at least 2 segments")
-    branches = strategy.branches
-    if np.any(branches[1:] == branches[:-1]):
-        raise ValueError("strategy must alternate branches")
-    x = strategy.lengths
-    csum = strategy.prefix_sums[1:]
-    odd_sums = csum[1::2]
-    c_terms = 1.0 + 2.0 * odd_sums / x[0::2][: odd_sums.size]
-    even_sums = csum[0::2]
-    r_denoms = np.concatenate(([1.0], x[1::2]))[: even_sums.size]
-    r_terms = 1.0 + 2.0 * even_sums / r_denoms
-    return TradeoffPoint(
-        float(np.max(c_terms)),
-        float(np.max(r_terms)),
-        "closed_form",
-        tail_converged(c_terms) and tail_converged(r_terms),
+    # Per parity: a member whose two branches grow at different rates has
+    # terms that alternate between two limits.
+    converged = all(
+        tail_converged(terms[0::2]) and tail_converged(terms[1::2])
+        for terms in map(competitive_ratio_terms, members)
     )
+    return TradeoffPoint(consistency, robustness, "measured", converged)
 
 
 def random_alternating_strategies(

@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from cowpath import cli
 from cowpath.cli import main
 from cowpath.hints import direction_hint_strategy
 from cowpath.model import DirectionHint, strategy_to_json
@@ -43,6 +44,17 @@ class TestEval:
         lines = out.splitlines()
         assert lines[0] == "consistency=9.000000 robustness=9.000000"
         assert lines[1] == "method=measured converged=true"
+
+    def test_family_direction_alternating_converged(self, capsys):
+        # delta < 1: the ratio terms alternate, each parity converges
+        code, out, _ = run(
+            capsys, "eval", "--family", "direction", "--r-params", "b=2,delta=0.5"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "consistency=6.333333 robustness=14.333333",
+            "method=measured converged=true",
+        ]
 
     def test_family_kbit(self, capsys):
         code, out, _ = run(
@@ -230,6 +242,19 @@ class TestFrontier:
         code, _, _ = run(capsys, "frontier", "--class", "position", "--r", bad)
         assert code == 2
 
+    def test_range_point_cap(self, capsys, monkeypatch):
+        # the count is checked before any point is built
+        code, out, err = run(
+            capsys, "frontier", "--class", "position", "--r", "9:inf:1"
+        )
+        assert code == 2 and out == ""
+        assert "argument --r: range must hold at most 1000000 points" in err
+        monkeypatch.setattr(cli, "_MAX_R_POINTS", 10)
+        code, out, _ = run(capsys, "frontier", "--class", "position", "--r", "9:18:1")
+        assert code == 0 and len(out.splitlines()) == 11
+        code, out, err = run(capsys, "frontier", "--class", "position", "--r", "9:19:1")
+        assert code == 2 and out == "" and "at most 10 points" in err
+
     def test_range_includes_stop(self, capsys):
         code, out, _ = run(
             capsys, "frontier", "--class", "position", "--r", "9:11:1"
@@ -344,6 +369,18 @@ class TestConfig:
         lines = out.splitlines()
         assert lines[1].startswith("kbit,3,9,")
         assert lines[2].startswith("kbit,3,10,")
+
+    def test_bad_range(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": "9:1:1"}))
+        code, out, err = run(
+            capsys, "frontier", "--class", "position", "--config", str(cfg)
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: config field 'r' (--r): range needs stop >= start and "
+            "step > 0, got '9:1:1'\n"
+        )
 
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

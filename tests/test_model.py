@@ -1,6 +1,7 @@
 """Core model: strategies, targets, search cost, robust bases."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,9 +15,7 @@ from cowpath.model import (
     Target,
     base_for_robustness,
     complement,
-    growth_rate_estimate,
     make_geometric,
-    make_periodic_geometric,
     rho,
     robust_base_interval,
     scale_strategy,
@@ -25,8 +24,6 @@ from cowpath.model import (
     strategy_from_json,
     strategy_from_lengths,
     strategy_to_json,
-    target_from_json,
-    target_to_json,
 )
 
 
@@ -50,8 +47,12 @@ class TestSegment:
 
     @pytest.mark.parametrize("branch", [2, -1, True, False, 0.5])
     def test_bad_branch(self, branch):
-        with pytest.raises(ValueError, match="branch must be 0 or 1"):
+        text = rf"^branch must be 0 or 1, got {re.escape(repr(branch))}$"
+        with pytest.raises(ValueError, match=text):
             Strategy([1.0], [branch])
+        # numpy reads a list mixing ints and bools as ints
+        with pytest.raises(ValueError, match=text):
+            Strategy([1.0, 2.0], [0, branch])
         with pytest.raises(ValueError, match=r"segments\[0\]: branch must be"):
             strategy_from_json({"segments": [{"length": 1.0, "branch": branch}]})
 
@@ -142,26 +143,6 @@ class TestConstructors:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"2.0\*\*1999 overflows"):
                 make_geometric(2.0, 2000)
-
-    def test_make_periodic_geometric(self):
-        s = make_periodic_geometric(2.0, (1.0, 0.5), 6)
-        assert np.allclose(s.lengths, [1, 1, 4, 4, 16, 16])
-
-    def test_make_periodic_geometric_rejects(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            make_periodic_geometric(2.0, (), 4)
-        with pytest.raises(ValueError, match=r"gammas\[1\]"):
-            make_periodic_geometric(2.0, (1.0, -2.0), 4)
-
-    def test_make_periodic_geometric_overflow_checked_first(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"base=1\S+ with count=64 over"):
-                make_periodic_geometric(1e10, (1.0,), 64)
-            # the large gamma sits at an odd index, one before the last
-            with pytest.raises(ValueError, match=r"gammas\[1\] \* 2.0\*\*39"):
-                make_periodic_geometric(2.0, (1.0, 1e300), 41)
-        assert len(make_periodic_geometric(2.0, (1.0, 1e300), 18)) == 18
 
     def test_scale_strategy(self):
         s = scale_strategy(make_geometric(2.0, 3), 0.25)
@@ -287,16 +268,6 @@ class TestRobustBases:
                 assert b * b / (b - 1.0) == pytest.approx(rho(r), abs=1e-9)
 
 
-class TestGrowthRate:
-    def test_geometric(self):
-        assert growth_rate_estimate(make_geometric(2.0, 32)) == pytest.approx(2.0)
-        assert growth_rate_estimate(make_geometric(3.0, 32)) == pytest.approx(3.0)
-
-    def test_needs_two_segments(self):
-        with pytest.raises(ValueError):
-            growth_rate_estimate(Strategy([1.0], [0]))
-
-
 class TestJson:
     def test_strategy_round_trip(self):
         s = make_geometric(2.0, 6, 1, 0.75)
@@ -314,10 +285,3 @@ class TestJson:
         with pytest.raises(ValueError, match=r"segments\[0\]"):
             strategy_from_json({"segments": [{"length": -1, "branch": 0}]})
 
-    def test_target_round_trip(self):
-        t = Target(3.5, 1)
-        assert target_from_json(target_to_json(t)) == t
-        with pytest.raises(ValueError, match="'distance'"):
-            target_from_json({"branch": 0})
-        with pytest.raises(ValueError, match="target"):
-            target_from_json({"distance": 0.1, "branch": 0})

@@ -222,4 +222,5 @@ def test_partition_labels_match_best_hint(r, k, probes):
     partition = preferred_partition(r, k, 1e4)
     for d, branch in probes:
         best = best_hint_index(r, k, Target(d, branch))
-        assert partition.label_at(d, branch) == best.index
+        cell = next(iv for iv in partition.intervals(branch) if iv.lo < d <= iv.hi)
+        assert cell.label == best.index

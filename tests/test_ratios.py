@@ -10,14 +10,11 @@ import pytest
 from cowpath.model import (
     HorizonTooShort,
     Strategy,
-    Target,
     make_geometric,
-    strategy_from_lengths,
 )
 from cowpath.ratios import (
     TargetGrid,
     TradeoffPoint,
-    alternating_profile,
     competitive_ratio,
     competitive_ratio_measured,
     competitive_ratio_terms,
@@ -27,10 +24,8 @@ from cowpath.ratios import (
     oracle_equivalence_gaps,
     random_alternating_strategies,
     tail_converged,
-    tradeoff_from_json,
-    tradeoff_to_json,
-    worst_case_cost_at_turn,
 )
+from cowpath.bounds import direction_tradeoff
 from cowpath.hints import cheapest_trusted_costs, direction_family, position_family
 
 
@@ -56,14 +51,6 @@ class TestClosedForm:
             cr = competitive_ratio(make_geometric(b, 64))
             assert cr <= limit + 1e-12
             assert cr == pytest.approx(limit, abs=1e-6)
-
-    def test_worst_case_cost_at_turn(self):
-        s = make_geometric(2.0, 6)
-        assert worst_case_cost_at_turn(s, 0) == 3.0
-        assert worst_case_cost_at_turn(s, 2) == 16.0
-        assert worst_case_cost_at_turn(s, 3) == 34.0
-        with pytest.raises(IndexError):
-            worst_case_cost_at_turn(s, 6)
 
     def test_single_segment(self):
         assert competitive_ratio(Strategy([1.0], [0])) == 3.0
@@ -122,16 +109,6 @@ class TestTradeoffPoint:
         p = TradeoffPoint(5.0, 3.0, "closed_form")
         assert (p.consistency, p.robustness) == (5.0, 3.0)
 
-    def test_infinite_robustness_round_trip(self):
-        p = TradeoffPoint(5.0, math.inf, "closed_form")
-        obj = tradeoff_to_json(p)
-        assert obj["robustness"] == "inf"
-        assert tradeoff_from_json(obj) == p
-
-    def test_json_missing_field(self):
-        with pytest.raises(ValueError, match="'method'"):
-            tradeoff_from_json({"consistency": 3, "robustness": 9, "converged": True})
-
 
 class TestGrids:
     def test_target_grid_validation(self):
@@ -141,8 +118,6 @@ class TestGrids:
             TargetGrid((3.0, 2.0))
         with pytest.raises(ValueError, match=">= 1"):
             TargetGrid((0.5, 2.0))
-        with pytest.raises(ValueError, match="epsilon"):
-            TargetGrid((1.0,), epsilon=0.1)
 
     def test_default_grid_contents(self):
         s = make_geometric(2.0, 6)
@@ -152,6 +127,8 @@ class TestGrids:
         assert d[-1] == pytest.approx(32.0 * (1 + 1e-9))
         for x in s.lengths:
             assert np.any(np.isclose(d, x * (1 + 1e-9)))
+        # exactly distance 1 and one ulp past each turn point, no other probe
+        assert d.tolist() == [1.0, *np.nextafter(s.lengths, np.inf).tolist()]
 
     def test_family_grid_cap(self):
         members = [make_geometric(2.0, 6), make_geometric(2.0, 6, 0, 0.5)]
@@ -159,6 +136,10 @@ class TestGrids:
         cap = min(m.last_turn_point(b) for m in members for b in (0, 1))
         assert max(grid.distances) <= cap
         assert min(grid.distances) == 1.0
+        turns = np.unique(np.concatenate([m.lengths for m in members]))
+        probes = np.nextafter(turns, np.inf)
+        inside = probes[(probes >= 1.0) & (probes <= cap)]
+        assert list(grid.distances) == [1.0, *inside.tolist()]
 
     def test_family_grid_unreachable_branch(self):
         s = Strategy([0.5, 2.0, 0.6, 4.0], [0, 1, 0, 1])
@@ -191,6 +172,27 @@ class TestEvaluateHinted:
             point = evaluate_hinted(direction_family(b, delta))
             assert point.consistency <= point.robustness + 1e-9
 
+    @pytest.mark.parametrize("b, delta", [(2.0, 0.5), (3.3, 0.4), (3.0, 0.1)])
+    def test_alternating_terms_converge_per_parity(self, b, delta):
+        # delta < 1: a member's ratio terms alternate between two limits, so
+        # the tail of all terms never settles but each parity's tail does
+        family = direction_family(b, delta)
+        terms = competitive_ratio_terms(family.select(family.hint_space[0]))
+        assert not tail_converged(terms)
+        assert evaluate_hinted(family).converged
+        assert not evaluate_hinted(direction_family(b, delta, horizon=20)).converged
+
+    def test_direction_pairs_exact(self):
+        # the acceptance C3 box; at horizon 128 the finite prefix sits within
+        # 1e-16 of its limit, so what remains is the probe rule's own error
+        for b in (1.5, 2.0, 3.0, 4.0):
+            for delta in (0.1, 0.5, 1.0):
+                closed = direction_tradeoff(b, delta)
+                point = evaluate_hinted(direction_family(b, delta, horizon=128))
+                got = (point.consistency, point.robustness)
+                want = (closed.consistency, closed.robustness)
+                assert got == pytest.approx(want, rel=1e-12)
+
     def test_horizon_too_short(self):
         fam = direction_family(2.0, 1.0, horizon=4)
         with pytest.raises(HorizonTooShort):
@@ -216,32 +218,6 @@ class TestEvaluateHinted:
         assert max(selected.values()) == 1
 
 
-class TestAlternatingProfile:
-    def test_spec_of_short_prefix(self):
-        p = alternating_profile(strategy_from_lengths([1.0, 1.0]))
-        assert (p.consistency, p.robustness) == (5.0, 3.0)
-        assert p.method == "closed_form"
-
-    def test_hand_computed(self):
-        p = alternating_profile(make_geometric(2.0, 4))
-        assert p.consistency == 8.5
-        assert p.robustness == 8.0
-
-    def test_profile_matches_plain_ratio(self):
-        # the robustness functional is the plain competitive ratio restricted
-        # to even turn indices; on long prefixes both converge to the sup
-        s = make_geometric(2.0, 64)
-        p = alternating_profile(s)
-        assert p.robustness == pytest.approx(competitive_ratio(s), abs=1e-6)
-
-    def test_requires_alternation(self):
-        s = Strategy([1.0, 2.0], [0, 0])
-        with pytest.raises(ValueError, match="alternate"):
-            alternating_profile(s)
-        with pytest.raises(ValueError, match="2 segments"):
-            alternating_profile(Strategy([1.0], [0]))
-
-
 class TestOracleEquivalence:
     def test_seeded_strategies_deterministic(self):
         a = random_alternating_strategies(5, seed=42)
@@ -257,3 +233,5 @@ class TestOracleEquivalence:
         gaps = oracle_equivalence_gaps(60, seed=2)
         assert gaps.shape == (60,)
         assert float(np.max(gaps)) <= 1e-6
+        # probes one ulp past each turn point read the right limits exactly
+        assert float(np.max(oracle_equivalence_gaps(200, 0))) <= 1e-10
