@@ -150,6 +150,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     point = evaluate_hinted(family)
     print(f"consistency={point.consistency:.6f} robustness={point.robustness:.6f}")
     print(f"method={point.method} converged={'true' if point.converged else 'false'}")
+    if not point.converged:
+        print(
+            f"warning: the ratio terms have not settled within horizon "
+            f"{family.horizon}; the values hold for this finite prefix only "
+            "(raise --horizon)",
+            file=sys.stderr,
+        )
     return 0
 
 

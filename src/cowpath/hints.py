@@ -28,6 +28,7 @@ from .model import (
     Strategy,
     Target,
     _pow,
+    _shortest_reach,
     base_for_robustness,
     cheapest_search_costs,
     complement,
@@ -96,11 +97,32 @@ class HintedStrategy:
     ] = field(default=cheapest_trusted_costs, compare=False)
 
 
+# Bound on members x horizon, the number of segments the batched kernels
+# stack (about 220 bytes each at peak, so about 230 MB at the bound), and so
+# also on the horizon.  Both are checked before any hint, member or array is
+# built.
+_MAX_SEGMENTS = 2**20
+
+
 def _check_horizon(horizon: int) -> int:
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon!r}")
+    if horizon > _MAX_SEGMENTS:
+        raise ValueError(
+            f"horizon must be <= {_MAX_SEGMENTS}, got {horizon!r} (lower --horizon)"
+        )
     return horizon
+
+
+def _check_size(members: int, horizon: int, params: str, flags: str) -> None:
+    """Reject a family whose members x horizon segments pass _MAX_SEGMENTS."""
+    if members * horizon > _MAX_SEGMENTS:
+        raise ValueError(
+            f"{params} with horizon={horizon} needs {members} members x "
+            f"{horizon} segments, over the limit of {_MAX_SEGMENTS} segments "
+            f"(lower {flags})"
+        )
 
 
 def _check_overflow(base: float, exponent: float, params: str) -> None:
@@ -191,6 +213,7 @@ def position_family(
         raise ValueError("max_hint_distance must be >= 1")
     decades = math.log10(max_hint_distance)
     count = max(2, int(round(decades * hints_per_decade)) + 1)
+    _check_size(2 * count, horizon, f"r={r!r}", "--horizon")
     distances = np.logspace(0.0, decades, count)
     hint_space = tuple(
         PositionHint(float(d), branch) for branch in (0, 1) for d in distances
@@ -243,9 +266,11 @@ def direction_family(
     b: float, delta: float, horizon: int = DEFAULT_HORIZON
 ) -> HintedStrategy:
     """Direction-hint family: one member per branch."""
+    horizon = _check_horizon(horizon)
+    _check_size(2, horizon, f"b={b!r}", "--horizon")
     return HintedStrategy(
         family="direction",
-        horizon=_check_horizon(horizon),
+        horizon=horizon,
         b=float(b),
         delta=float(delta),
         select=lambda hint: direction_hint_strategy(b, delta, hint, horizon),
@@ -295,12 +320,20 @@ def kbit_hint_strategy(
     return strategy_from_lengths(np.power(a, exponents), 0)
 
 
+def _check_kbit_size(r: float, k: int, horizon: int) -> int:
+    """Validate r, k and the horizon, then bound 2**k members x horizon;
+    returns the horizon."""
+    horizon = _check_horizon(horizon)
+    _kbit_member_base(r, k, horizon)
+    _check_size(2 ** int(k), horizon, f"k={int(k)}", "--k or --horizon")
+    return horizon
+
+
 def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrategy:
     """k-bit family: 2**k phase-shifted members; the correct hint is the
     index of the member that finds the target cheapest (the default
     ``trusted_costs`` rule)."""
-    horizon = _check_horizon(horizon)
-    _kbit_member_base(r, k, horizon)  # validate r, k early
+    horizon = _check_kbit_size(r, k, horizon)
     return HintedStrategy(
         family="kbit",
         horizon=horizon,
@@ -313,6 +346,7 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
 
 
 def _kbit_members(r: float, k: int, horizon: int) -> list[Strategy]:
+    horizon = _check_kbit_size(r, k, horizon)
     return [
         kbit_hint_strategy(r, k, BitStringHint(j, int(k)), horizon)
         for j in range(2 ** int(k))
@@ -389,7 +423,7 @@ def preferred_partition(
     if not math.isfinite(max_distance) or max_distance < 1.0:
         raise ValueError(f"max_distance must be >= 1, got {max_distance!r}")
     members = _kbit_members(r, k, horizon)
-    reach = min(m.last_turn_point(branch) for m in members for branch in (0, 1))
+    reach = _shortest_reach(members)
     if max_distance > reach:
         raise HorizonTooShort(
             f"max_distance {max_distance} exceeds the family reach {reach}"

@@ -160,17 +160,6 @@ class Strategy:
         points = self.turn_points(branch)
         return float(points[-1]) if points.size else 0.0
 
-    @cached_property
-    def _per_branch(self) -> tuple:
-        """Per branch: (segment indices, running maximum of their lengths).
-        The first index where the running maximum reaches d is the first
-        segment on the branch that reaches d, even where lengths dip."""
-        out = []
-        for branch in (0, 1):
-            idx = np.flatnonzero(self.branches == branch)
-            out.append((idx, np.maximum.accumulate(self.lengths[idx])))
-        return tuple(out)
-
 
 def strategy_from_lengths(
     lengths: Sequence[float], first_branch: int = 0
@@ -293,23 +282,96 @@ def search_cost(strategy: Strategy, target: Target) -> Optional[float]:
     return None
 
 
+def _stack(strategies: Sequence[Strategy]) -> tuple[np.ndarray, ...]:
+    """The strategies as the rows of three arrays, right-padded to the
+    longest strategy: ``lengths`` (NaN past a row's end), ``branches`` (-1
+    past a row's end) and ``sums``, where sums[i, j] is the sum of row i's
+    first j lengths (one column more than the others)."""
+    sizes = np.array([len(s) for s in strategies])
+    inside = np.arange(sizes.max()) < sizes[:, None]
+    lengths = np.full(inside.shape, np.nan)
+    branches = np.full(inside.shape, -1, dtype=np.int8)
+    lengths[inside] = np.concatenate([s.lengths for s in strategies])
+    branches[inside] = np.concatenate([s.branches for s in strategies])
+    sums = np.zeros((sizes.size, inside.shape[1] + 1))
+    np.cumsum(lengths, axis=1, out=sums[:, 1:])
+    return lengths, branches, sums
+
+
+def _shortest_reach(strategies: Sequence[Strategy]) -> float:
+    """The smallest farthest turn point over the strategies and both
+    branches (0.0 where a strategy never searches a branch)."""
+    lengths, branches, _ = _stack(strategies)
+    return min(
+        float(np.min(np.max(np.where(branches == b, lengths, 0.0), axis=1)))
+        for b in (0, 1)
+    )
+
+
+def _check_distances(distances) -> np.ndarray:
+    d = np.asarray(distances, dtype=float)
+    if d.size and not float(np.min(d)) >= 1.0:  # also rejects NaN
+        raise ValueError("target distances must be >= 1")
+    return d
+
+
+def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Complex keys row + 1j * value: numpy orders complex numbers by real
+    part, then imaginary part, so the keys sort by (row, value), exactly."""
+    keys = np.empty(np.broadcast_shapes(rows.shape, values.shape), dtype=complex)
+    keys.real = rows
+    keys.imag = values
+    return keys.ravel()
+
+
+def _first_reaching(reach: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per row i and column j: the first column where the running maximum
+    of reach[i] is >= d[i, j], or reach.shape[1] where none is.  One
+    searchsorted over (row, running maximum) keys serves every row."""
+    np.maximum.accumulate(reach, axis=1, out=reach)
+    rows = np.arange(d.shape[0])[:, None]
+    pos = np.searchsorted(_row_keys(rows, reach), _row_keys(rows, d), side="left")
+    pos = pos.reshape(d.shape)
+    pos -= rows * reach.shape[1]
+    return pos
+
+
 def search_costs(
-    strategy: Strategy, distances: np.ndarray, branch: int
+    strategies: Union[Strategy, Sequence[Strategy]],
+    distances: np.ndarray,
+    branch: int,
 ) -> np.ndarray:
     """Vectorized search_cost for many distances on one branch.
 
-    Returns an array of costs with NaN where the prefix never covers the
-    target.  Distances must all be >= 1.
+    Given one strategy, ``distances`` may have any shape and every distance
+    is scored on that strategy.  Given a sequence of m strategies, it must
+    have shape (m, n): row i is scored on strategy i.  Returns costs of the
+    distances' shape, NaN where the prefix never covers the target.
+    Distances must all be >= 1.
+
+    Per row, the running maximum of the branch's lengths (0 on the other
+    branch) is sorted, and its first entry >= d marks the first segment that
+    reaches d, even where the branch's lengths dip.  One searchsorted over
+    (row, running maximum) keys scores every row; memory is O(m * (longest
+    strategy + n)).
     """
     branch = _check_branch(branch)
-    d = np.asarray(distances, dtype=float)
-    if d.size and float(np.min(d)) < 1.0:
-        raise ValueError("target distances must be >= 1")
-    idx, reach = strategy._per_branch[branch]
-    pos = np.searchsorted(reach, d, side="left")
-    found = pos < reach.size
-    out = np.full(d.shape, np.nan)
-    out[found] = 2.0 * strategy.prefix_sums[idx[pos[found]]] + d[found]
+    d = _check_distances(distances)
+    if isinstance(strategies, Strategy):
+        return search_costs([strategies], d.reshape(1, -1), branch).reshape(d.shape)
+    if d.ndim != 2 or d.shape[0] != len(strategies):
+        raise ValueError(
+            f"distances must have one row per strategy, got shape {d.shape} "
+            f"for {len(strategies)} strategies"
+        )
+    lengths, branches, sums = _stack(strategies)
+    pos = _first_reaching(np.where(branches == branch, lengths, 0.0), d)
+    missed = pos == lengths.shape[1]
+    pos[missed] = 0  # sums[:, 0] is 0: no overflow where nothing is found
+    out = sums[np.arange(d.shape[0])[:, None], pos]
+    out *= 2.0
+    out += d
+    out[missed] = np.nan
     return out
 
 
@@ -317,19 +379,39 @@ def cheapest_search_costs(
     strategies: Iterable[Strategy], distances: np.ndarray, branch: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per distance on ``branch``: the lowest search cost among ``strategies``
-    and the index of the strategy that attains it (ties go to the smallest
-    index).  Where no strategy finds the target the cost is inf and the
-    index -1.  A running minimum keeps memory at O(len(distances)).
+    and the index of the strategy that attains it.  Where no strategy finds
+    the target the cost is inf and the index -1.
+
+    One envelope pass over every strategy's segments on the branch: the
+    cheapest cost at d is d + 2 * min{sum of the lengths before segment s :
+    lengths[s] >= d}.  The segments are sorted by length; a suffix minimum
+    of the ranks of their (prefix sum, strategy index) pairs gives each
+    target's cheapest segment with one searchsorted, so ties go to the
+    smallest index among the strategies of least prefix sum.  Memory is
+    O(segments + len(distances)).
     """
-    d = np.asarray(distances, dtype=float)
-    best = np.full(d.shape, np.inf)
-    index = np.full(d.shape, -1, dtype=np.int64)
-    for j, strategy in enumerate(strategies):
-        costs = search_costs(strategy, d, branch)
-        better = costs < best  # NaN (not found) never wins
-        best[better] = costs[better]
-        index[better] = j
-    return best, index
+    branch = _check_branch(branch)
+    d = _check_distances(distances)
+    strategies = list(strategies)
+    if not strategies:
+        return np.full(d.shape, np.inf), np.full(d.shape, -1, dtype=np.int64)
+    lengths, branches, sums = _stack(strategies)
+    on = branches == branch
+    # A sentinel segment of infinite length and prefix sum: the targets no
+    # strategy finds land on it and cost inf, with index -1.
+    reach = np.append(lengths[on], np.inf)
+    before = np.append(sums[:, :-1][on], np.inf)
+    member = np.append(np.nonzero(on)[0], -1)
+    by_rank = np.lexsort((member, before))
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(by_rank.size)
+    by_length = np.argsort(reach, kind="stable")
+    cheapest = by_rank[np.minimum.accumulate(rank[by_length][::-1])[::-1]]
+    segment = cheapest[np.searchsorted(reach[by_length], d, side="left")]
+    best = before[segment]
+    best *= 2.0
+    best += d
+    return best, member[segment]
 
 
 def rho(r: float) -> float:

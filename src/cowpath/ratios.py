@@ -19,6 +19,8 @@ from .model import (
     DEFAULT_HORIZON,
     HorizonTooShort,
     Strategy,
+    _shortest_reach,
+    _stack,
     make_geometric,
     search_costs,
 )
@@ -111,11 +113,19 @@ def family_grid(members: Iterable[Strategy]) -> TargetGrid:
     members = list(members)
     if not members:
         raise ValueError("family grid needs at least one member strategy")
-    cap = min(m.last_turn_point(branch) for m in members for branch in (0, 1))
+    cap = _shortest_reach(members)
     if cap < 1.0:
         raise ValueError("family horizon does not reach distance 1 on both branches")
     probes = _turn_probes(np.concatenate([m.lengths for m in members]))
     return TargetGrid(np.unique(np.append(probes[probes <= cap], 1.0)))
+
+
+def _terms(lengths: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Ratio terms of stacked rows (see model._stack); NaN past a row's end."""
+    terms = 2.0 * sums[:, 1:]
+    terms[:, 1:] /= lengths[:, :-1]  # x_{-1} = 1
+    terms += 1.0
+    return terms
 
 
 def competitive_ratio_terms(strategy: Strategy) -> np.ndarray:
@@ -123,9 +133,7 @@ def competitive_ratio_terms(strategy: Strategy) -> np.ndarray:
 
     The competitive ratio is the maximum of these terms.
     """
-    csum = strategy.prefix_sums[1:]
-    denom = np.concatenate(([1.0], strategy.lengths[:-1]))
-    return 1.0 + 2.0 * csum / denom
+    return _terms(strategy.lengths[None], strategy.prefix_sums[None])[0]
 
 
 def competitive_ratio(strategy: Strategy) -> float:
@@ -145,24 +153,63 @@ def tail_converged(values: np.ndarray) -> bool:
     return bool(float(np.max(v)) - float(np.min(v[-_TAIL_WINDOW:])) <= _TAIL_TOL)
 
 
+def _tails_converged(terms: np.ndarray) -> np.ndarray:
+    """Per row of stacked ratio terms (NaN past a row's end): whether
+    tail_converged holds for the terms of each parity.  The last five terms
+    of one parity are that parity's terms among the row's last ten."""
+    size = np.count_nonzero(~np.isnan(terms), axis=1)[:, None]
+    col = np.arange(terms.shape[1])
+    ok = np.ones(terms.shape[0], dtype=bool)
+    for parity in (0, 1):
+        mine = (col % 2 == parity) & (col < size)
+        tail = mine & (col >= size - 2 * _TAIL_WINDOW)
+        top = np.max(np.where(mine, terms, -np.inf), axis=1)
+        low = np.min(np.where(tail, terms, np.inf), axis=1)
+        count = (size[:, 0] - parity + 1) // 2
+        ok &= (count >= _TAIL_WINDOW) & (top - low <= _TAIL_TOL)
+    return ok
+
+
+def _probe_rows(strategies: list[Strategy], first: np.ndarray) -> np.ndarray:
+    """Row i: the distances ``first`` and one ulp past strategy i's turn
+    points.  A probe below 1 or past the row's end repeats first[0], which
+    leaves the row's maximum ratio as it is."""
+    lengths = _stack(strategies)[0]
+    d = np.empty((len(strategies), first.size + lengths.shape[1]))
+    d[:, : first.size] = first
+    probes = np.nextafter(lengths, np.inf, out=d[:, first.size :])
+    probes[~(probes >= 1.0)] = first[0]  # NaN (past the end) compares false
+    return d
+
+
+def _measured_ratios(
+    strategies: list[Strategy], grid: Optional[TargetGrid] = None
+) -> np.ndarray:
+    """Per strategy, its brute-force competitive ratio (see
+    competitive_ratio_measured): one row-wise search_costs call per branch
+    scores every strategy on the grid (distance 1 when None) and its own
+    turn-point probes."""
+    d = _probe_rows(
+        strategies, np.array([1.0]) if grid is None else np.asarray(grid.distances)
+    )
+    best = np.full(len(strategies), np.nan)
+    for branch in (0, 1):
+        ratios = search_costs(strategies, d, branch)
+        ratios /= d
+        best = np.fmax(best, np.fmax.reduce(ratios, axis=1))
+    if np.isnan(best).any():
+        raise ValueError("empty effective grid: the prefix finds no grid target")
+    return best
+
+
 def competitive_ratio_measured(
     strategy: Strategy, grid: Optional[TargetGrid] = None
 ) -> float:
     """Brute-force competitive ratio: max of search_cost/d over the grid
     distances and one ulp past each of the strategy's own turn points, on
-    both branches, restricted to targets the prefix actually finds."""
-    if grid is None:
-        grid = default_grid(strategy)
-    d = np.unique(np.concatenate([grid.distances, _turn_probes(strategy.lengths)]))
-    best = -math.inf
-    for branch in (0, 1):
-        costs = search_costs(strategy, d, branch)
-        found = ~np.isnan(costs)
-        if found.any():
-            best = max(best, float(np.max(costs[found] / d[found])))
-    if not math.isfinite(best):
-        raise ValueError("empty effective grid: the prefix finds no grid target")
-    return best
+    both branches, restricted to targets the prefix actually finds.  The
+    grid defaults to default_grid(strategy)."""
+    return float(_measured_ratios([strategy], grid)[0])
 
 
 def evaluate_hinted(
@@ -177,8 +224,9 @@ def evaluate_hinted(
     ``dataclasses.replace(family, trusted_costs=cheapest_trusted_costs)``.
     Robustness is the worst member's measured competitive ratio, each member
     probed at its own turn points (the adversarial targets are
-    member-specific).  Targets no trusted member finds raise HorizonTooShort.
-    Each hint's member is built once.
+    member-specific); one row-wise search_costs pass per branch scores every
+    member.  Targets no trusted member finds raise HorizonTooShort.  Each
+    hint's member is built once.
     """
     hints = family.hint_space
     if not hints:
@@ -201,13 +249,11 @@ def evaluate_hinted(
             )
         consistency = max(consistency, float(np.max(costs / distances)))
 
-    robustness = max(competitive_ratio_measured(m) for m in members)
+    robustness = float(np.max(_measured_ratios(members)))
     # Per parity: a member whose two branches grow at different rates has
     # terms that alternate between two limits.
-    converged = all(
-        tail_converged(terms[0::2]) and tail_converged(terms[1::2])
-        for terms in map(competitive_ratio_terms, members)
-    )
+    lengths, _, sums = _stack(members)
+    converged = bool(np.all(_tails_converged(_terms(lengths, sums))))
     return TradeoffPoint(consistency, robustness, "measured", converged)
 
 
@@ -231,7 +277,9 @@ def oracle_equivalence_gaps(
 ) -> np.ndarray:
     """|closed form - measured| per random strategy; the two evaluators must
     agree because worst-case targets sit just past turn points."""
-    gaps = []
-    for s in random_alternating_strategies(count, seed, horizon):
-        gaps.append(abs(competitive_ratio(s) - competitive_ratio_measured(s)))
-    return np.asarray(gaps)
+    strategies = random_alternating_strategies(count, seed, horizon)
+    if not strategies:
+        return np.empty(0)
+    lengths, _, sums = _stack(strategies)
+    closed = np.fmax.reduce(_terms(lengths, sums), axis=1)
+    return np.abs(closed - _measured_ratios(strategies))

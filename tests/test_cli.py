@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from cowpath import cli
+from cowpath import cli, hints
 from cowpath.cli import main
 from cowpath.hints import direction_hint_strategy
 from cowpath.model import DirectionHint, strategy_to_json
@@ -159,6 +159,50 @@ class TestEval:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--file", str(tmp_path / "nope.json"))
         assert code == 2 and "error:" in err
+
+    def test_unconverged_family_warns_on_stderr(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--family", "direction", "--r-params", "b=2,delta=1",
+            "--horizon", "3",
+        )
+        assert code == 0
+        assert out == (
+            "consistency=7.000000 robustness=7.000000\n"
+            "method=measured converged=false\n"
+        )
+        assert err.count("\n") == 1 and err.startswith("warning: ")
+        assert "horizon 3" in err and "--horizon" in err
+        code, out, err = run(
+            capsys, "eval", "--family", "direction", "--r-params", "b=2,delta=1"
+        )
+        assert code == 0 and "converged=true" in out and err == ""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("eval", "--family", "kbit", "--r-params", "r=9,k=3"), "--k"),
+            (("partition", "--r", "9", "--k", "3", "--max", "10"), "--k"),
+            (
+                ("eval", "--family", "direction", "--r-params", "b=2,delta=1",
+                 "--horizon", "65"),
+                "--horizon",
+            ),
+            (
+                ("eval", "--family", "direction", "--r-params", "b=2,delta=1",
+                 "--horizon", "129"),
+                "--horizon",
+            ),
+            (("eval", "--family", "position", "--r-params", "r=9"), "--horizon"),
+        ],
+        ids=["eval-kbit", "partition", "direction-members", "horizon", "position"],
+    )
+    def test_size_limit_exits_2(self, capsys, monkeypatch, argv, flag):
+        # the limit is checked before any hint or member is built
+        monkeypatch.setattr(hints, "_MAX_SEGMENTS", 128)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "limit of 128 segments" in err or "horizon must be <= 128" in err
+        assert flag in err and "Traceback" not in err
 
 
 class TestFrontier:

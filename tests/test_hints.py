@@ -213,6 +213,43 @@ class TestOverflowChecks:
         assert np.isfinite(fam.select(fam.hint_space[-1]).lengths).all()
 
 
+class TestSizeLimit:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: kbit_family(9.0, 2), "k=2 with horizon=64 needs 4 members"),
+            (lambda: preferred_partition(9.0, 2, 10.0), "k=2 with horizon=64"),
+            (lambda: best_hint_index(9.0, 2, Target(2.0, 0)), "k=2 with horizon=64"),
+            (lambda: position_family(9.0), "r=9.0 with horizon=64 needs 1544"),
+            (lambda: direction_family(2.0, 1.0, 65), "b=2.0 with horizon=65"),
+            (lambda: direction_hint_strategy(2.0, 1.0, DirectionHint(0), 129),
+             "horizon must be <= 128, got 129"),
+        ],
+        ids=["kbit", "partition", "best_hint", "position", "direction", "horizon"],
+    )
+    def test_checked_before_any_member(self, monkeypatch, build, message):
+        built = collections.Counter()
+        for name in ("kbit_hint_strategy", "strategy_from_lengths", "PositionHint"):
+            original = getattr(hints, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                built[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hints, name, counting)
+        monkeypatch.setattr(hints, "_MAX_SEGMENTS", 128)
+        with pytest.raises(ValueError, match="segments|horizon must be") as info:
+            build()
+        assert message in str(info.value)
+        assert not built
+
+    def test_at_the_limit_fits(self, monkeypatch):
+        monkeypatch.setattr(hints, "_MAX_SEGMENTS", 128)
+        assert len(kbit_family(9.0, 1).hint_space) == 2
+        assert preferred_partition(9.0, 1, 10.0).branch0
+        assert direction_family(2.0, 1.0, 64).horizon == 64
+
+
 class TestPartition:
     def test_r9_k1_max16_branch0(self):
         part = preferred_partition(9.0, 1, 16.0)

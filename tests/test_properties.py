@@ -3,10 +3,11 @@ and every batched fast path against its scalar reference."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cowpath.hints import (
+    HintedStrategy,
     best_hint_index,
     direction_family,
     kbit_family,
@@ -18,6 +19,7 @@ from cowpath.model import (
     PositionHint,
     Strategy,
     Target,
+    cheapest_search_costs,
     make_geometric,
     robust_base_interval,
     scale_strategy,
@@ -25,7 +27,14 @@ from cowpath.model import (
     search_costs,
     strategy_from_lengths,
 )
-from cowpath.ratios import competitive_ratio, competitive_ratio_measured
+from cowpath.ratios import (
+    _tails_converged,
+    competitive_ratio,
+    competitive_ratio_measured,
+    competitive_ratio_terms,
+    evaluate_hinted,
+    tail_converged,
+)
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -224,3 +233,138 @@ def test_partition_labels_match_best_hint(r, k, probes):
         best = best_hint_index(r, k, Target(d, branch))
         cell = next(iv for iv in partition.intervals(branch) if iv.lo < d <= iv.hi)
         assert cell.label == best.index
+
+
+# The batched kernels stack members of different lengths; each member below
+# may have dipping lengths and non-alternating branches.
+member_lists = st.lists(two_apart_strategies(), min_size=1, max_size=6)
+
+
+def _turns_and_probes(strategies):
+    turns = np.concatenate([s.lengths for s in strategies])
+    probes = np.concatenate([turns, np.nextafter(turns, np.inf)])
+    return probes[probes >= 1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=member_lists,
+    extra=st.lists(st.floats(min_value=1.0, max_value=130.0, **finite), max_size=8),
+)
+def test_cheapest_cost_is_the_scalar_minimum(members, extra):
+    ds = np.concatenate([_turns_and_probes(members), extra])
+    for branch in (0, 1):
+        costs, index = cheapest_search_costs(members, ds, branch)
+        for d, cost, j in zip(ds, costs, index):
+            scalar = [search_cost(m, Target(float(d), branch)) for m in members]
+            found = [c for c in scalar if c is not None]
+            if not found:
+                assert cost == np.inf and j == -1
+            else:
+                assert cost == min(found)
+                assert scalar[j] == cost
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=member_lists,
+    extra=st.lists(st.floats(min_value=1.0, max_value=130.0, **finite), max_size=8),
+)
+def test_rowwise_search_costs_match_one_strategy(members, extra):
+    # row i: member i's own probes, repeated to a common width, then extras
+    width = 2 * max(len(m) for m in members)
+    own = [np.append(_turns_and_probes([m]), 1.0) for m in members]
+    rows = np.array([np.concatenate([np.resize(d, width), extra]) for d in own])
+    for branch in (0, 1):
+        got = search_costs(members, rows, branch)
+        assert got.shape == rows.shape
+        for m, row, costs in zip(members, rows, got):
+            np.testing.assert_array_equal(costs, search_costs(m, row, branch))
+
+
+def _reaching(s):
+    """``s`` followed by one segment of length 100 on each branch."""
+    return Strategy([*s.lengths, 100.0, 100.0], [*s.branches, 0, 1])
+
+
+def _family(members):
+    """A hand-built family: hint i selects member i."""
+    return HintedStrategy(
+        family="custom",
+        horizon=max(len(m) for m in members),
+        select=members.__getitem__,
+        hint_space=tuple(range(len(members))),
+    )
+
+
+def _converged_per_parity(member):
+    terms = competitive_ratio_terms(member)
+    return tail_converged(terms[0::2]) and tail_converged(terms[1::2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=member_lists)
+def test_batched_robustness_is_the_worst_member(members):
+    members = [_reaching(m) for m in members]
+    point = evaluate_hinted(_family(members))
+    each = [competitive_ratio_measured(m) for m in members]
+    assert point.robustness == max(each)
+    for m, ratio in zip(members, each):
+        # the scalar oracle at distance 1 and one ulp past each turn point
+        probes = np.nextafter(m.lengths, np.inf)
+        ds = np.append(probes[probes >= 1.0], 1.0)
+        scalar = [
+            cost / d
+            for d in ds.tolist()
+            for branch in (0, 1)
+            if (cost := search_cost(m, Target(d, branch))) is not None
+        ]
+        assert ratio == max(scalar)
+    assert point.converged == all(map(_converged_per_parity, members))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.floats(min_value=1.5, max_value=4.0, **finite),
+            st.integers(min_value=2, max_value=64),
+            st.integers(min_value=0, max_value=1),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example(specs=[(2.0, 64, 0), (3.0, 40, 1)])  # both converge
+def test_batched_evaluation_of_geometric_members(specs):
+    # long geometric prefixes converge, short ones do not: a family mixing
+    # lengths checks that each member's tail is read at its own end
+    members = [make_geometric(b, n, first) for b, n, first in specs]
+    point = evaluate_hinted(_family(members))
+    assert point.robustness == max(map(competitive_ratio_measured, members))
+    assert point.converged == all(map(_converged_per_parity, members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(
+            st.sampled_from([1.0, 1.0 + 8e-7, 1.0 + 3e-6]),
+            min_size=1,
+            max_size=16,
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+# the sixth-last term of parity 0 is outside the tail: converged
+@example(rows=[[1.0] + [1.0 + 3e-6] * 11, [1.0 + 3e-6] * 12])
+def test_stacked_tail_check_matches_tail_converged(rows):
+    terms = np.full((len(rows), max(map(len, rows))), np.nan)
+    for i, row in enumerate(rows):
+        terms[i, : len(row)] = row
+    want = [
+        tail_converged(np.array(row[0::2])) and tail_converged(np.array(row[1::2]))
+        for row in rows
+    ]
+    assert _tails_converged(terms).tolist() == want

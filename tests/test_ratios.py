@@ -11,6 +11,7 @@ from cowpath.model import (
     HorizonTooShort,
     Strategy,
     make_geometric,
+    search_costs,
 )
 from cowpath.ratios import (
     TargetGrid,
@@ -140,6 +141,14 @@ class TestGrids:
         probes = np.nextafter(turns, np.inf)
         inside = probes[(probes >= 1.0) & (probes <= cap)]
         assert list(grid.distances) == [1.0, *inside.tolist()]
+
+    def test_family_grid_cap_where_a_branch_dips(self):
+        # branch 0 searches 4 then 3: every target up to 4 is found, so the
+        # cap is the branch's farthest turn point, 4, not its last, 3
+        s = Strategy([4.0, 3.0, 5.0, 6.0], [0, 0, 1, 1])
+        grid = family_grid([s])
+        assert grid.distances == (1.0, np.nextafter(3.0, np.inf))
+        assert np.all(~np.isnan(search_costs(s, np.asarray(grid.distances), 0)))
 
     def test_family_grid_unreachable_branch(self):
         s = Strategy([0.5, 2.0, 0.6, 4.0], [0, 1, 0, 1])
