@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .hints import kbit_base
+from .hints import _direction_params, kbit_base
 from .model import (
     Strategy,
     base_for_robustness,
@@ -99,12 +99,7 @@ def direction_tradeoff(b: float, delta: float) -> TradeoffPoint:
     c = 1 + 2(b**2 + delta*b**3)/(b**2 - 1),
     r = 1 + 2(b**2 + b**3/delta)/(b**2 - 1).
     """
-    b = float(b)
-    delta = float(delta)
-    if not math.isfinite(b) or b <= 1.0:
-        raise ValueError(f"b must be > 1, got {b!r}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta!r}")
+    b, delta = _direction_params(b, delta)
     denom = b * b - 1.0
     c = 1.0 + 2.0 * (b * b + delta * b**3) / denom
     r = 1.0 + 2.0 * (b * b + b**3 / delta) / denom

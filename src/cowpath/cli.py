@@ -208,6 +208,8 @@ def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     checks = []
     if args.suite in ("lemma", "all"):
         ok, detail = _verify_sweep("lemma", growth_lemma_sweep)

@@ -135,18 +135,29 @@ def _check_overflow(base: float, exponent: float, params: str) -> None:
         )
 
 
-def _position_base(r: float, horizon: int) -> float:
-    """b_r, checked so the members' lengths up to b_r**(horizon - 1) stay
-    finite."""
+def _position_geometry(r: float, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors b_r**j (Python powers) and np.power lengths of the unshrunk
+    position member, checked so b_r**(horizon - 1) stays finite."""
     base = base_for_robustness(r)
     _check_overflow(base, horizon - 1, f"r={r!r} with horizon={horizon}")
-    return base
+    anchors = np.array([base**j for j in range(horizon)])
+    return anchors, np.power(base, np.arange(horizon, dtype=float))
 
 
-def _position_anchors(base: float, horizon: int) -> np.ndarray:
-    """Turn points base**j (Python powers) of the unshrunk position member.
-    A hint at distance d anchors at the smallest j with base**j >= d."""
-    return np.array([base**j for j in range(horizon)])
+def _position_member(anchors: np.ndarray, powers: np.ndarray, hint) -> Strategy:
+    """position_hint_strategy, given the arrays of _position_geometry."""
+    if not isinstance(hint, PositionHint):
+        raise ValueError(f"position family needs a PositionHint, got {hint!r}")
+    j = int(np.searchsorted(anchors, hint.distance, side="left"))
+    if j == anchors.size:
+        raise HorizonTooShort(
+            f"hint distance {hint.distance!r} lies past horizon {anchors.size}: "
+            f"the farthest anchor is {anchors[-1]:.6g}"
+        )
+    lengths = powers / (anchors[j] / hint.distance)  # shrink in [1, b_r)
+    lengths[j] = hint.distance  # exact: rounding must not undershoot the hint
+    first = hint.branch if j % 2 == 0 else complement(hint.branch)
+    return strategy_from_lengths(lengths, first)
 
 
 def position_hint_strategy(
@@ -155,22 +166,8 @@ def position_hint_strategy(
     """Geometric base-b_r strategy shrunk so that its anchor turn point j
     lands exactly on the hinted position, with segment j searching the hinted
     branch."""
-    if not isinstance(hint, PositionHint):
-        raise ValueError(f"position family needs a PositionHint, got {hint!r}")
     horizon = _check_horizon(horizon)
-    base = _position_base(r, horizon)
-    anchors = _position_anchors(base, horizon)
-    j = int(np.searchsorted(anchors, hint.distance, side="left"))
-    if j == horizon:
-        raise HorizonTooShort(
-            f"hint distance {hint.distance!r} lies past horizon {horizon}: "
-            f"the farthest anchor is {anchors[-1]:.6g}"
-        )
-    shrink = anchors[j] / hint.distance  # in [1, base)
-    lengths = np.power(base, np.arange(horizon, dtype=float)) / shrink
-    lengths[j] = hint.distance  # exact: rounding must not undershoot the hint
-    first = hint.branch if j % 2 == 0 else complement(hint.branch)
-    return strategy_from_lengths(lengths, first)
+    return _position_member(*_position_geometry(r, horizon), hint)
 
 
 def position_true_hint(target: Target) -> PositionHint:
@@ -178,19 +175,18 @@ def position_true_hint(target: Target) -> PositionHint:
     return PositionHint(target.distance, target.branch)
 
 
-def _position_trusted_costs(base: float, horizon: int):
+def _position_trusted_costs(anchors: np.ndarray, powers: np.ndarray):
     """Batched trusted cost of the position family: the member anchored at
     each target costs 2 * (b**0 + .. + b**(j-1)) / shrink + d, where j is the
     smallest index with b**j >= d and shrink = b**j / d.  NaN where j falls
     past the horizon."""
-    anchors = _position_anchors(base, horizon)
-    sums = np.zeros(horizon + 1)
-    np.cumsum(np.power(base, np.arange(horizon, dtype=float)), out=sums[1:])
+    sums = np.zeros(anchors.size + 1)
+    np.cumsum(powers, out=sums[1:])
 
     def trusted_costs(members, distances, branch):
         d = np.asarray(distances, dtype=float)
         j = np.searchsorted(anchors, d, side="left")
-        inside = j < horizon
+        inside = j < anchors.size
         j, d_in = j[inside], d[inside]
         out = np.full(d.shape, np.nan)
         out[inside] = 2.0 * sums[j] / (anchors[j] / d_in) + d_in
@@ -208,25 +204,34 @@ def position_family(
     """Position-hint family with a log-spaced hint grid standing in for the
     continuous hint space."""
     horizon = _check_horizon(horizon)
-    base = _position_base(r, horizon)  # validate r early
     if max_hint_distance < 1.0:
         raise ValueError("max_hint_distance must be >= 1")
     decades = math.log10(max_hint_distance)
     count = max(2, int(round(decades * hints_per_decade)) + 1)
     _check_size(2 * count, horizon, f"r={r!r}", "--horizon")
-    distances = np.logspace(0.0, decades, count)
-    hint_space = tuple(
-        PositionHint(float(d), branch) for branch in (0, 1) for d in distances
-    )
+    anchors, powers = _position_geometry(r, horizon)
+    distances = np.logspace(0.0, decades, count).tolist()
+    hint_space = tuple(PositionHint(d, b) for b in (0, 1) for d in distances)
     return HintedStrategy(
         family="position",
         horizon=horizon,
         r=float(r),
-        select=lambda hint: position_hint_strategy(r, hint, horizon),
+        select=lambda hint: _position_member(anchors, powers, hint),
         hint_space=hint_space,
         true_hint_of=position_true_hint,
-        trusted_costs=_position_trusted_costs(base, horizon),
+        trusted_costs=_position_trusted_costs(anchors, powers),
     )
+
+
+def _direction_params(b: float, delta: float, horizon: int = 1) -> tuple[float, float]:
+    """Checked floats b > 1 and delta in (0, 1], with b**(horizon - 1) finite."""
+    b, delta = float(b), float(delta)
+    if not math.isfinite(b) or b <= 1.0:
+        raise ValueError(f"b must be > 1, got {b!r}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta!r}")
+    _check_overflow(b, horizon - 1, f"b={b!r} with horizon={horizon}")
+    return b, delta
 
 
 def direction_hint_strategy(
@@ -236,14 +241,8 @@ def direction_hint_strategy(
     complement to delta * b**i."""
     if not isinstance(hint, DirectionHint):
         raise ValueError(f"direction family needs a DirectionHint, got {hint!r}")
-    b = float(b)
-    delta = float(delta)
-    if not math.isfinite(b) or b <= 1.0:
-        raise ValueError(f"b must be > 1, got {b!r}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta!r}")
     horizon = _check_horizon(horizon)
-    _check_overflow(b, horizon - 1, f"b={b!r} with horizon={horizon}")
+    b, delta = _direction_params(b, delta, horizon)
     lengths = np.power(b, np.arange(horizon, dtype=float))
     lengths[1::2] *= delta
     return strategy_from_lengths(lengths, hint.branch)
@@ -268,11 +267,12 @@ def direction_family(
     """Direction-hint family: one member per branch."""
     horizon = _check_horizon(horizon)
     _check_size(2, horizon, f"b={b!r}", "--horizon")
+    b, delta = _direction_params(b, delta, horizon)
     return HintedStrategy(
         family="direction",
         horizon=horizon,
-        b=float(b),
-        delta=float(delta),
+        b=b,
+        delta=delta,
         select=lambda hint: direction_hint_strategy(b, delta, hint, horizon),
         hint_space=(DirectionHint(0), DirectionHint(1)),
         true_hint_of=direction_true_hint,

@@ -156,7 +156,8 @@ class Strategy:
         return self.lengths[self.branches == _check_branch(branch)]
 
     def last_turn_point(self, branch: int) -> float:
-        """Farthest reach on ``branch`` (0.0 when the branch is never searched)."""
+        """Last turn point on ``branch``, short of the farthest where its
+        lengths dip (0.0 when the branch is never searched)."""
         points = self.turn_points(branch)
         return float(points[-1]) if points.size else 0.0
 
@@ -324,16 +325,24 @@ def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return keys.ravel()
 
 
-def _first_reaching(reach: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Per row i and column j: the first column where the running maximum
-    of reach[i] is >= d[i, j], or reach.shape[1] where none is.  One
-    searchsorted over (row, running maximum) keys serves every row."""
+def _first_reaching(
+    reach: np.ndarray, before: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one cost kernel, over rows of segments in prefix-sum order that
+    each end in a sentinel of infinite reach.  Per row i and target d[i, j]:
+    the first column s where the running maximum of reach[i] is >= d[i, j],
+    and the cost d[i, j] + 2 * before[i, s].  Returns (costs, columns) of
+    d's shape; one searchsorted over (row, running maximum) keys serves
+    every row.  ``reach`` is overwritten."""
     np.maximum.accumulate(reach, axis=1, out=reach)
     rows = np.arange(d.shape[0])[:, None]
     pos = np.searchsorted(_row_keys(rows, reach), _row_keys(rows, d), side="left")
     pos = pos.reshape(d.shape)
     pos -= rows * reach.shape[1]
-    return pos
+    costs = before[rows, pos]
+    costs *= 2.0
+    costs += d
+    return costs, pos
 
 
 def search_costs(
@@ -349,11 +358,10 @@ def search_costs(
     distances' shape, NaN where the prefix never covers the target.
     Distances must all be >= 1.
 
-    Per row, the running maximum of the branch's lengths (0 on the other
-    branch) is sorted, and its first entry >= d marks the first segment that
-    reaches d, even where the branch's lengths dip.  One searchsorted over
-    (row, running maximum) keys scores every row; memory is O(m * (longest
-    strategy + n)).
+    Row i of the kernel is strategy i's segments, with reach 0 off the
+    branch, so the first segment whose running-maximum reach is >= d is the
+    first that reaches d, even where the branch's lengths dip.  Memory is
+    O(m * (longest strategy + n)).
     """
     branch = _check_branch(branch)
     d = _check_distances(distances)
@@ -364,15 +372,13 @@ def search_costs(
             f"distances must have one row per strategy, got shape {d.shape} "
             f"for {len(strategies)} strategies"
         )
-    lengths, branches, sums = _stack(strategies)
-    pos = _first_reaching(np.where(branches == branch, lengths, 0.0), d)
-    missed = pos == lengths.shape[1]
-    pos[missed] = 0  # sums[:, 0] is 0: no overflow where nothing is found
-    out = sums[np.arange(d.shape[0])[:, None], pos]
-    out *= 2.0
-    out += d
-    out[missed] = np.nan
-    return out
+    lengths, branches, before = _stack(strategies)
+    # The sentinel column has prefix sum NaN: a target the row never finds
+    # costs NaN.
+    reach = np.full(before.shape, np.inf)
+    reach[:, :-1] = np.where(branches == branch, lengths, 0.0)
+    before[:, -1] = np.nan
+    return _first_reaching(reach, before, d)[0]
 
 
 def cheapest_search_costs(
@@ -382,12 +388,11 @@ def cheapest_search_costs(
     and the index of the strategy that attains it.  Where no strategy finds
     the target the cost is inf and the index -1.
 
-    One envelope pass over every strategy's segments on the branch: the
-    cheapest cost at d is d + 2 * min{sum of the lengths before segment s :
-    lengths[s] >= d}.  The segments are sorted by length; a suffix minimum
-    of the ranks of their (prefix sum, strategy index) pairs gives each
-    target's cheapest segment with one searchsorted, so ties go to the
-    smallest index among the strategies of least prefix sum.  Memory is
+    The cheapest cost at d is d + 2 * min{sum of the lengths before segment
+    s : lengths[s] >= d}.  Ordered by (prefix sum, strategy index), every
+    strategy's segments on the branch form one kernel row: its first segment
+    whose running-maximum reach is >= d is itself a segment of length >= d,
+    of least prefix sum, ties going to the smallest index.  Memory is
     O(segments + len(distances)).
     """
     branch = _check_branch(branch)
@@ -397,21 +402,15 @@ def cheapest_search_costs(
         return np.full(d.shape, np.inf), np.full(d.shape, -1, dtype=np.int64)
     lengths, branches, sums = _stack(strategies)
     on = branches == branch
-    # A sentinel segment of infinite length and prefix sum: the targets no
-    # strategy finds land on it and cost inf, with index -1.
+    # The sentinel segment has infinite reach and prefix sum, and index -1:
+    # a target no strategy finds costs inf.
     reach = np.append(lengths[on], np.inf)
     before = np.append(sums[:, :-1][on], np.inf)
     member = np.append(np.nonzero(on)[0], -1)
-    by_rank = np.lexsort((member, before))
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(by_rank.size)
-    by_length = np.argsort(reach, kind="stable")
-    cheapest = by_rank[np.minimum.accumulate(rank[by_length][::-1])[::-1]]
-    segment = cheapest[np.searchsorted(reach[by_length], d, side="left")]
-    best = before[segment]
-    best *= 2.0
-    best += d
-    return best, member[segment]
+    order = np.lexsort((member, before))
+    reach, before, member = reach[order], before[order], member[order]
+    costs, pos = _first_reaching(reach[None], before[None], d.reshape(1, -1))
+    return costs.reshape(d.shape), member[pos].reshape(d.shape)
 
 
 def rho(r: float) -> float:

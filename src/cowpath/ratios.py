@@ -70,14 +70,15 @@ class TradeoffPoint:
         object.__setattr__(self, "converged", bool(self.converged))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetGrid:
-    """Sorted target distances, each finite and >= 1."""
+    """Sorted target distances, each finite and >= 1: a read-only float64
+    array, a validated copy of the constructor's argument."""
 
-    distances: tuple[float, ...]
+    distances: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.distances, dtype=float)
+        d = np.array(self.distances, dtype=float)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("target grid must contain at least one distance")
         bad = ~(np.isfinite(d) & (d >= 1.0))
@@ -86,7 +87,8 @@ class TargetGrid:
             raise ValueError(f"grid distances must be finite and >= 1, got {got!r}")
         if np.any(d[1:] < d[:-1]):
             raise ValueError("grid distances must be sorted ascending")
-        object.__setattr__(self, "distances", tuple(d.tolist()))
+        d.flags.writeable = False
+        object.__setattr__(self, "distances", d)
 
 
 def _turn_probes(lengths: np.ndarray) -> np.ndarray:
@@ -189,9 +191,7 @@ def _measured_ratios(
     competitive_ratio_measured): one row-wise search_costs call per branch
     scores every strategy on the grid (distance 1 when None) and its own
     turn-point probes."""
-    d = _probe_rows(
-        strategies, np.array([1.0]) if grid is None else np.asarray(grid.distances)
-    )
+    d = _probe_rows(strategies, np.array([1.0]) if grid is None else grid.distances)
     best = np.full(len(strategies), np.nan)
     for branch in (0, 1):
         ratios = search_costs(strategies, d, branch)
@@ -234,7 +234,7 @@ def evaluate_hinted(
     members = [family.select(h) for h in hints]
     if grid is None:
         grid = family_grid(members)
-    distances = np.asarray(grid.distances)
+    distances = grid.distances
 
     by_hint = dict(zip(hints, members))
     consistency = 1.0

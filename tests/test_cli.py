@@ -344,6 +344,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "spectral")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--count", "0"], ["oracle", "--count", "-3"]])
+    def test_count_must_be_positive(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        for name in (
+            "growth_lemma_sweep", "prefix_bound_sweep", "oracle_equivalence_gaps"
+        ):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --count must be >= 1, got {argv[-1]}\n"
+
 
 class TestPartition:
     def test_stdout_json(self, capsys):

@@ -80,6 +80,23 @@ class TestPositionHintStrategy:
             assert ratio < bound
             assert bound - ratio <= 1e-3
 
+    def test_family_derives_its_geometry_once(self, monkeypatch):
+        calls = collections.Counter()
+        original = hints.base_for_robustness
+
+        def counting(r):
+            calls["base"] += 1
+            return original(r)
+
+        monkeypatch.setattr(hints, "base_for_robustness", counting)
+        fam = position_family(9.0, horizon=40)
+        chosen = fam.hint_space[::97]
+        members = [fam.select(h) for h in chosen]
+        assert calls["base"] == 1
+        # bit-identical to the members built one at a time
+        for h, member in zip(chosen, members):
+            assert member == position_hint_strategy(9.0, h, 40)
+
     def test_wrong_hint_type(self):
         with pytest.raises(ValueError, match="PositionHint"):
             position_hint_strategy(9.0, DirectionHint(0))
@@ -116,6 +133,21 @@ class TestDirectionHintStrategy:
             direction_hint_strategy(2.0, 0.0, DirectionHint(0))
         with pytest.raises(ValueError, match="DirectionHint"):
             direction_hint_strategy(2.0, 0.5, PositionHint(1.0, 0))
+
+    @pytest.mark.parametrize(
+        "b,delta,message",
+        [
+            (0.5, 3.0, "b must be > 1, got 0.5"),
+            (2.0, 3.0, "delta must be in (0, 1], got 3.0"),
+            (2.0, 0.0, "delta must be in (0, 1], got 0.0"),
+            (1e10, 1.0, "b=10000000000.0 with horizon=64 overflows"),
+        ],
+    )
+    def test_family_validates_before_any_member(self, monkeypatch, b, delta, message):
+        monkeypatch.setattr(hints, "direction_hint_strategy", None)  # never called
+        with pytest.raises(ValueError) as info:
+            direction_family(b, delta)
+        assert str(info.value).startswith(message)
 
     def test_family(self):
         fam = direction_family(2.0, 1.0)

@@ -14,6 +14,7 @@ from cowpath.model import (
     Strategy,
     Target,
     base_for_robustness,
+    cheapest_search_costs,
     complement,
     make_geometric,
     rho,
@@ -241,6 +242,44 @@ class TestSearchCost:
     def test_unsearched_branch_all_nan(self):
         s = Strategy([4.0], [0])
         assert np.all(np.isnan(search_costs(s, np.array([1.0, 2.0]), 1)))
+
+
+class TestCheapestSearchCosts:
+    def test_identical_members_give_the_smaller_index(self):
+        s = make_geometric(2.0, 8)
+        elsewhere = Strategy([5.0], [1])  # never searches branch 0
+        d = np.array([1.0, 1.5, 3.0, 4.0, 33.0])
+        costs, index = cheapest_search_costs([s, s], d, 0)
+        np.testing.assert_array_equal(costs, search_costs(s, d, 0))
+        assert index.tolist() == [0] * 5
+        costs, index = cheapest_search_costs([elsewhere, s, s], d, 0)
+        np.testing.assert_array_equal(costs, search_costs(s, d, 0))
+        assert index.tolist() == [1] * 5
+
+    def test_shared_prefix_sum_goes_to_the_smaller_index(self):
+        # both reach branch 0 after walking 3: a's segment 2 (length 4) and
+        # c's segment 1 (length 5)
+        a = Strategy([1.0, 2.0, 4.0], [0, 1, 0])
+        c = Strategy([3.0, 5.0], [1, 0])
+        d = np.array([3.5, 4.0, 4.5, 5.0])
+        costs, index = cheapest_search_costs([c, a], d, 0)
+        assert index.tolist() == [0, 0, 0, 0]
+        np.testing.assert_array_equal(costs, 2 * 3.0 + d)
+        costs, index = cheapest_search_costs([a, c], d, 0)
+        assert index.tolist() == [0, 0, 1, 1]
+        np.testing.assert_array_equal(costs, 2 * 3.0 + d)
+
+    def test_no_segment_on_the_branch(self):
+        members = [Strategy([4.0], [0]), Strategy([2.0, 8.0], [0, 0])]
+        d = np.array([[1.0, 2.0, 3.0], [4.0, 8.0, 9.0]])
+        costs, index = cheapest_search_costs(members, d, 1)
+        assert costs.shape == index.shape == d.shape
+        assert np.all(costs == np.inf) and np.all(index == -1)
+        costs, index = cheapest_search_costs(members, d, 0)
+        assert index.tolist() == [[0, 0, 0], [0, 1, -1]]
+        assert costs.tolist() == [[1.0, 2.0, 3.0], [4.0, 12.0, np.inf]]
+        costs, index = cheapest_search_costs([], d, 0)
+        assert np.all(costs == np.inf) and np.all(index == -1)
 
 
 class TestRobustBases:

@@ -120,6 +120,17 @@ class TestGrids:
         with pytest.raises(ValueError, match=">= 1"):
             TargetGrid((0.5, 2.0))
 
+    def test_target_grid_holds_a_read_only_copy(self):
+        given = np.array([1.0, 2.0, 5.0])
+        grid = TargetGrid(given)
+        given[0] = 3.0
+        assert grid.distances.dtype == np.float64
+        assert grid.distances.tolist() == [1.0, 2.0, 5.0]
+        with pytest.raises(ValueError):
+            grid.distances[0] = 1.5
+        with pytest.raises(AttributeError):
+            grid.distances = given
+
     def test_default_grid_contents(self):
         s = make_geometric(2.0, 6)
         grid = default_grid(s)
@@ -147,7 +158,7 @@ class TestGrids:
         # cap is the branch's farthest turn point, 4, not its last, 3
         s = Strategy([4.0, 3.0, 5.0, 6.0], [0, 0, 1, 1])
         grid = family_grid([s])
-        assert grid.distances == (1.0, np.nextafter(3.0, np.inf))
+        assert grid.distances.tolist() == [1.0, np.nextafter(3.0, np.inf)]
         assert np.all(~np.isnan(search_costs(s, np.asarray(grid.distances), 0)))
 
     def test_family_grid_unreachable_branch(self):
