@@ -210,6 +210,8 @@ def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     checks = []
     if args.suite in ("lemma", "all"):
         ok, detail = _verify_sweep("lemma", growth_lemma_sweep)
@@ -331,6 +333,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 _CONFIG_ALIASES = {"class": "hint_class", "json": "json_out", "csv": "csv_out"}
+_INT_FLAGS = ("k", "horizon", "count", "seed")
 
 
 def _apply_config(
@@ -357,6 +360,18 @@ def _apply_config(
                 raise ValueError(f"config field 'r' (--r): {exc}") from None
         elif dest == "r":
             value = float(value)
+        elif dest in _INT_FLAGS and not isinstance(value, str):
+            # argparse parses a string default with the flag's type, and
+            # passes any other value as it is
+            integral = isinstance(value, int) or (
+                isinstance(value, float) and value.is_integer()
+            )
+            if isinstance(value, bool) or not integral:
+                raise ValueError(
+                    f"config field '{key}' (--{dest}) must be an integer, "
+                    f"got {value!r}"
+                )
+            value = int(value)
         defaults[dest] = value
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)

@@ -45,12 +45,10 @@ __all__ = [
     "position_hint_strategy",
     "position_true_hint",
     "position_family",
-    "direction_hint_strategy",
     "direction_true_hint",
     "direction_trusted_costs",
     "direction_family",
     "kbit_base",
-    "kbit_hint_strategy",
     "kbit_family",
     "best_hint_index",
     "preferred_partition",
@@ -71,14 +69,16 @@ def cheapest_trusted_costs(
 class HintedStrategy:
     """A strategy family keyed by hints.
 
-    ``select`` maps a hint to a member strategy.  ``hint_space`` is the finite
-    set of admissible hints (a grid when the true space is continuous).
-    ``true_hint_of`` maps a target to its trusted hint(s); None means the
-    correct hint is whichever member finds the target cheapest.  It is the
-    per-target reference rule.  ``trusted_costs(members, distances, branch)``
-    is the same rule batched: the cost of the trusted member at every
-    distance on one branch (NaN or inf where it misses), given the built
-    members keyed by hint.
+    ``select`` maps a hint to a member strategy; it is the family's one
+    member rule.  Each family checks its parameters and derives the arrays
+    its members share once, when it is built, so ``select`` checks only the
+    hint.  ``hint_space`` is the finite set of admissible hints (a grid when
+    the true space is continuous).  ``true_hint_of`` maps a target to its
+    trusted hint(s); None means the correct hint is whichever member finds
+    the target cheapest.  It is the per-target reference rule.
+    ``trusted_costs(members, distances, branch)`` is the same rule batched:
+    the cost of the trusted member at every distance on one branch (NaN or
+    inf where it misses), given the built members keyed by hint.
     """
 
     family: str
@@ -234,20 +234,6 @@ def _direction_params(b: float, delta: float, horizon: int = 1) -> tuple[float, 
     return b, delta
 
 
-def direction_hint_strategy(
-    b: float, delta: float, hint: DirectionHint, horizon: int = DEFAULT_HORIZON
-) -> Strategy:
-    """Even iterations search the hinted branch to b**i, odd iterations the
-    complement to delta * b**i."""
-    if not isinstance(hint, DirectionHint):
-        raise ValueError(f"direction family needs a DirectionHint, got {hint!r}")
-    horizon = _check_horizon(horizon)
-    b, delta = _direction_params(b, delta, horizon)
-    lengths = np.power(b, np.arange(horizon, dtype=float))
-    lengths[1::2] *= delta
-    return strategy_from_lengths(lengths, hint.branch)
-
-
 def direction_true_hint(target: Target) -> DirectionHint:
     """The correct direction hint names the target's branch."""
     return DirectionHint(target.branch)
@@ -268,12 +254,20 @@ def direction_family(
     horizon = _check_horizon(horizon)
     _check_size(2, horizon, f"b={b!r}", "--horizon")
     b, delta = _direction_params(b, delta, horizon)
+    lengths = np.power(b, np.arange(horizon, dtype=float))
+    lengths[1::2] *= delta
+
+    def select(hint) -> Strategy:
+        if not isinstance(hint, DirectionHint):
+            raise ValueError(f"direction family needs a DirectionHint, got {hint!r}")
+        return strategy_from_lengths(lengths, hint.branch)
+
     return HintedStrategy(
         family="direction",
         horizon=horizon,
         b=b,
         delta=delta,
-        select=lambda hint: direction_hint_strategy(b, delta, hint, horizon),
+        select=select,
         hint_space=(DirectionHint(0), DirectionHint(1)),
         true_hint_of=direction_true_hint,
         trusted_costs=direction_trusted_costs,
@@ -298,59 +292,38 @@ def kbit_base(r: float, k: int) -> float:
     return 1.0 + 2.0**k
 
 
-def _kbit_member_base(r: float, k: int, horizon: int) -> float:
-    """kbit_base, checked so the members' lengths up to a**(horizon - 2**-k)
-    stay finite."""
-    a = kbit_base(r, k)
-    _check_overflow(a, horizon - 2.0**-k, f"r={r!r}, k={k} with horizon={horizon}")
-    return a
-
-
-def kbit_hint_strategy(
-    r: float, k: int, hint: BitStringHint, horizon: int = DEFAULT_HORIZON
-) -> Strategy:
-    """Member j of the k-bit family: lengths a**(i + j/2**k), first branch 0."""
-    if not isinstance(hint, BitStringHint):
-        raise ValueError(f"k-bit family needs a BitStringHint, got {hint!r}")
-    if hint.k != int(k):
-        raise ValueError(f"hint has k={hint.k}, family has k={k}")
-    horizon = _check_horizon(horizon)
-    a = _kbit_member_base(r, k, horizon)
-    exponents = np.arange(horizon, dtype=float) + hint.index / 2.0**k
-    return strategy_from_lengths(np.power(a, exponents), 0)
-
-
-def _check_kbit_size(r: float, k: int, horizon: int) -> int:
-    """Validate r, k and the horizon, then bound 2**k members x horizon;
-    returns the horizon."""
-    horizon = _check_horizon(horizon)
-    _kbit_member_base(r, k, horizon)
-    _check_size(2 ** int(k), horizon, f"k={int(k)}", "--k or --horizon")
-    return horizon
-
-
 def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrategy:
     """k-bit family: 2**k phase-shifted members; the correct hint is the
     index of the member that finds the target cheapest (the default
     ``trusted_costs`` rule)."""
-    horizon = _check_kbit_size(r, k, horizon)
+    horizon = _check_horizon(horizon)
+    a = kbit_base(r, k)
+    k = int(k)
+    _check_overflow(a, horizon - 2.0**-k, f"r={r!r}, k={k} with horizon={horizon}")
+    _check_size(2**k, horizon, f"k={k}", "--k or --horizon")
+    steps = np.arange(horizon, dtype=float)
+
+    def select(hint) -> Strategy:
+        if not isinstance(hint, BitStringHint):
+            raise ValueError(f"k-bit family needs a BitStringHint, got {hint!r}")
+        if hint.k != k:
+            raise ValueError(f"hint has k={hint.k}, family has k={k}")
+        return strategy_from_lengths(np.power(a, steps + hint.index / 2.0**k), 0)
+
     return HintedStrategy(
         family="kbit",
         horizon=horizon,
         r=float(r),
-        k=int(k),
-        select=lambda hint: kbit_hint_strategy(r, k, hint, horizon),
-        hint_space=tuple(BitStringHint(j, int(k)) for j in range(2 ** int(k))),
+        k=k,
+        select=select,
+        hint_space=tuple(BitStringHint(j, k) for j in range(2**k)),
         true_hint_of=None,
     )
 
 
 def _kbit_members(r: float, k: int, horizon: int) -> list[Strategy]:
-    horizon = _check_kbit_size(r, k, horizon)
-    return [
-        kbit_hint_strategy(r, k, BitStringHint(j, int(k)), horizon)
-        for j in range(2 ** int(k))
-    ]
+    family = kbit_family(r, k, horizon)
+    return [family.select(hint) for hint in family.hint_space]
 
 
 def best_hint_index(
@@ -451,6 +424,14 @@ def family_from_json(obj: object, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     if "family" not in obj:
         raise ValueError("family JSON is missing field 'family'")
     name = obj["family"]
+    fields = {"position": ("r",), "direction": ("b", "delta"), "kbit": ("r", "k")}
+    if not isinstance(name, str) or name not in fields:
+        raise ValueError(
+            f"field 'family' must be 'position', 'direction' or 'kbit', got {name!r}"
+        )
+    unknown = sorted(set(obj) - {"family", *fields[name]}, key=str)
+    if unknown:
+        raise ValueError(f"family '{name}' has no field '{unknown[0]}'")
 
     def need(key: str) -> float:
         if key not in obj or obj[key] is None:
@@ -464,14 +445,10 @@ def family_from_json(obj: object, horizon: int = DEFAULT_HORIZON) -> HintedStrat
         return position_family(float(need("r")), horizon)
     if name == "direction":
         return direction_family(float(need("b")), float(need("delta")), horizon)
-    if name == "kbit":
-        k = need("k")
-        if not (isinstance(k, int) or k.is_integer()):
-            raise ValueError(f"field 'k' must be an integer, got {k!r}")
-        return kbit_family(float(need("r")), int(k), horizon)
-    raise ValueError(
-        f"field 'family' must be 'position', 'direction' or 'kbit', got {name!r}"
-    )
+    k = need("k")
+    if not (isinstance(k, int) or k.is_integer()):
+        raise ValueError(f"field 'k' must be an integer, got {k!r}")
+    return kbit_family(float(need("r")), int(k), horizon)
 
 
 def partition_to_json(partition: LinePartition) -> dict:

@@ -428,15 +428,14 @@ def base_for_robustness(r: float) -> float:
 
     The identity b^2/(b-1) == rho(r) holds for the returned base.
     """
-    p = rho(r)
-    disc = p * p - 4.0 * p
-    return (p + math.sqrt(max(disc, 0.0))) / 2.0
+    return robust_base_interval(r)[1]
 
 
 def robust_base_interval(r: float) -> tuple[float, float]:
     """Both roots of b^2/(b-1) = rho(r): the r-robust base interval."""
     p = rho(r)
-    s = math.sqrt(max(p * p - 4.0 * p, 0.0))
+    # sqrt(p*p - 4p) in two factors: p*p overflows past p ~ 1.3e154
+    s = math.sqrt(p) * math.sqrt(p - 4.0)
     return ((p - s) / 2.0, (p + s) / 2.0)
 
 

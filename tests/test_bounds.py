@@ -305,6 +305,16 @@ class TestBuildFrontiers:
         with pytest.raises(ValueError, match="hint_class"):
             frontier_curve("exact", rs)
 
+    def test_huge_budgets_finite(self):
+        # rho(r)**2 overflows past r ~ 2.7e154; b_r must not turn into nan
+        csv = frontier_to_csv(build_frontiers([1e200, 1e308], ks=(3,)))
+        assert "nan" not in csv
+        rows = {tuple(line.split(",")[:3]): line for line in csv.splitlines()[1:]}
+        assert rows["position", "", "1e+200"] == "position,,1e+200,1,1,,"
+        assert rows["position", "", "1e+308"] == "position,,1e+308,1,1,,"
+        assert rows["onebit", "1", "1e+308"].split(",")[4] == "3"
+        assert base_for_robustness(1e308) == robust_base_interval(1e308)[1] > 1e307
+
     def test_extra_k_curves(self):
         curves = build_frontiers([9.0, 10.0], ks=(2, 3))
         assert [c.k for c in curves] == [None, None, 1, 2, 3]

@@ -1,17 +1,22 @@
 """Command-line interface: output formats, exit codes, config files."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cowpath import cli, hints
 from cowpath.cli import main
-from cowpath.hints import direction_hint_strategy
+from cowpath.hints import direction_family
 from cowpath.model import DirectionHint, strategy_to_json
 
 
@@ -67,7 +72,7 @@ class TestEval:
         assert robustness == pytest.approx(9.0, abs=1e-3)
 
     def test_file_round_trip_matches_family(self, capsys, tmp_path):
-        member = direction_hint_strategy(2.0, 1.0, DirectionHint(0))
+        member = direction_family(2.0, 1.0).select(DirectionHint(0))
         path = tmp_path / "member.json"
         path.write_text(json.dumps(strategy_to_json(member)))
         code, out, _ = run(capsys, "eval", "--file", str(path))
@@ -104,6 +109,19 @@ class TestEval:
             capsys, "eval", "--family", "direction", "--r-params", "b=x,delta=1"
         )
         assert code == 2 and "must be a number" in err
+
+    @pytest.mark.parametrize(
+        "family,params,field",
+        [
+            ("direction", "b=2,delta=1,r=9,horizon=5", "horizon"),
+            ("kbit", "r=9,k=2,x=3", "x"),
+            ("position", "r=9,k=2", "k"),
+        ],
+    )
+    def test_unknown_family_field(self, capsys, family, params, field):
+        code, out, err = run(capsys, "eval", "--family", family, "--r-params", params)
+        assert code == 2 and out == ""
+        assert err == f"error: family '{family}' has no field '{field}'\n"
 
     @pytest.mark.parametrize("k", ["2.7", "0.5"])
     def test_non_integral_k(self, capsys, k):
@@ -358,6 +376,15 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --count must be >= 1, got {argv[-1]}\n"
 
+    def test_seed_must_be_non_negative(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "oracle_equivalence_gaps", no_work)
+        code, out, err = run(capsys, "verify", "oracle", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be >= 0, got -1\n"
+
 
 class TestPartition:
     def test_stdout_json(self, capsys):
@@ -440,6 +467,36 @@ class TestConfig:
             "step > 0, got '9:1:1'\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,config,flag",
+        [
+            (["partition"], {"k": 2.7, "r": 9, "max": 16}, "k"),
+            (["partition"], {"k": True, "r": 9, "max": 16}, "k"),
+            (["partition", "--r", "9", "--k", "1", "--max", "4"], {"horizon": 8.5},
+             "horizon"),
+            (["verify", "oracle"], {"count": 2.5}, "count"),
+            (["verify", "oracle"], {"seed": 1.5}, "seed"),
+            (["frontier", "--class", "kbit", "--r", "9"], {"k": None}, "k"),
+        ],
+    )
+    def test_integer_flags_not_truncated(self, capsys, tmp_path, argv, config, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: config field '{flag}' (--{flag}) must be an integer, "
+            f"got {config[flag]!r}\n"
+        )
+
+    @pytest.mark.parametrize("k", [3, 3.0, "3"])
+    def test_integer_flags_accept_integral_values(self, capsys, tmp_path, k):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": k, "r": 9, "max": 16, "horizon": 64.0}))
+        code, out, _ = run(capsys, "partition", "--config", str(cfg), "--csv", "-")
+        assert code == 0
+        assert out.startswith("branch,lo,hi,label\n0,1,1.09050773,1\n")
+
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mystery": 1}))
@@ -486,3 +543,52 @@ class TestTopLevel:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
+
+
+# Values a user may type; the fuzz test draws every number from this menu.
+_MENU = ("nan", "inf", "-1", "0", "1", "2.7", "9", "1e200", "1e308")
+_FAMILY_FIELDS = {"position": ("r",), "direction": ("b", "delta"), "kbit": ("r", "k")}
+
+
+@st.composite
+def _cli_argv(draw):
+    value = st.sampled_from(_MENU)
+    command = draw(st.sampled_from([*_FAMILY_FIELDS, "partition", "frontier"]))
+    if command == "frontier":
+        hint_class = draw(
+            st.sampled_from(("position", "direction", "onebit", "kbit", "all"))
+        )
+        return ["frontier", "--class", hint_class, "--r", draw(value),
+                "--k", draw(value)]
+    if command == "partition":
+        argv = ["partition"]
+        for flag in draw(st.lists(st.sampled_from(("--r", "--k", "--max")),
+                                  unique=True)):
+            argv += [flag, draw(value)]
+    else:
+        # each field may be missing; "x" and "horizon" are unknown fields
+        names = draw(st.lists(
+            st.sampled_from((*_FAMILY_FIELDS[command], "x", "horizon")), unique=True
+        ))
+        pairs = ",".join(f"{name}={draw(value)}" for name in names)
+        argv = ["eval", "--family", command, "--r-params", pairs]
+    horizon = draw(st.sampled_from((None, "-1", "0", "1", "2", "2.7", "9", "64")))
+    return argv if horizon is None else [*argv, "--horizon", horizon]
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_cli_argv())
+    @example(argv=["frontier", "--class", "position", "--r", "1e308", "--k", "1"])
+    @example(argv=["frontier", "--class", "all", "--r", "1e200", "--k", "3"])
+    def test_exit_codes_and_messages(self, argv):
+        # a small segment limit keeps every family that passes the up-front
+        # checks small; the horizon never exceeds 64
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(hints, "_MAX_SEGMENTS", 2**12), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert err.getvalue().startswith(("error:", "usage:"))
+        assert "nan" not in out.getvalue().lower()

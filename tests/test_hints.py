@@ -14,12 +14,10 @@ from cowpath.hints import (
     LinePartition,
     best_hint_index,
     direction_family,
-    direction_hint_strategy,
     direction_true_hint,
     family_from_json,
     kbit_base,
     kbit_family,
-    kbit_hint_strategy,
     partition_to_json,
     position_family,
     position_hint_strategy,
@@ -122,17 +120,17 @@ class TestPositionHintStrategy:
 
 class TestDirectionHintStrategy:
     def test_lengths_and_branches(self):
-        s = direction_hint_strategy(2.0, 0.5, DirectionHint(1), horizon=6)
+        s = direction_family(2.0, 0.5, horizon=6).select(DirectionHint(1))
         assert np.allclose(s.lengths, [1.0, 1.0, 4.0, 4.0, 16.0, 16.0])
         assert list(s.branches) == [1, 0, 1, 0, 1, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="b must be > 1"):
-            direction_hint_strategy(1.0, 0.5, DirectionHint(0))
+            direction_family(1.0, 0.5).select(DirectionHint(0))
         with pytest.raises(ValueError, match="delta"):
-            direction_hint_strategy(2.0, 0.0, DirectionHint(0))
+            direction_family(2.0, 0.0).select(DirectionHint(0))
         with pytest.raises(ValueError, match="DirectionHint"):
-            direction_hint_strategy(2.0, 0.5, PositionHint(1.0, 0))
+            direction_family(2.0, 0.5).select(PositionHint(1.0, 0))
 
     @pytest.mark.parametrize(
         "b,delta,message",
@@ -144,10 +142,26 @@ class TestDirectionHintStrategy:
         ],
     )
     def test_family_validates_before_any_member(self, monkeypatch, b, delta, message):
-        monkeypatch.setattr(hints, "direction_hint_strategy", None)  # never called
+        monkeypatch.setattr(hints, "strategy_from_lengths", None)  # never called
         with pytest.raises(ValueError) as info:
             direction_family(b, delta)
         assert str(info.value).startswith(message)
+
+    def test_family_derives_its_geometry_once(self, monkeypatch):
+        calls = collections.Counter()
+        original = hints._direction_params
+
+        def counting(*args):
+            calls["params"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(hints, "_direction_params", counting)
+        fam = direction_family(2.0, 0.5, horizon=6)
+        members = [fam.select(h) for h in fam.hint_space * 3]
+        assert calls["params"] == 1
+        assert [list(m.branches[:2]) for m in members[:2]] == [[0, 1], [1, 0]]
+        for member in members:
+            assert member.lengths.tolist() == [1.0, 1.0, 4.0, 4.0, 16.0, 16.0]
 
     def test_family(self):
         fam = direction_family(2.0, 1.0)
@@ -177,13 +191,30 @@ class TestKBit:
             kbit_base(9.0, 512)
 
     def test_member_lengths(self):
-        s = kbit_hint_strategy(9.0, 1, BitStringHint(1, 1), horizon=4)
+        s = kbit_family(9.0, 1, horizon=4).select(BitStringHint(1, 1))
         assert np.allclose(s.lengths, 2.0 ** (np.arange(4) + 0.5))
         assert list(s.branches) == [0, 1, 0, 1]
 
     def test_member_k_mismatch(self):
         with pytest.raises(ValueError, match="k=2"):
-            kbit_hint_strategy(9.0, 1, BitStringHint(1, 2))
+            kbit_family(9.0, 1).select(BitStringHint(1, 2))
+
+    def test_family_derives_its_geometry_once(self, monkeypatch):
+        calls = collections.Counter()
+        original = hints.kbit_base
+
+        def counting(r, k):
+            calls["base"] += 1
+            return original(r, k)
+
+        monkeypatch.setattr(hints, "kbit_base", counting)
+        fam = kbit_family(9.0, 3, horizon=8)
+        members = [fam.select(h) for h in fam.hint_space * 2]
+        assert calls["base"] == 1
+        # member j has lengths 2**(i + j/8)
+        for j, member in enumerate(members[:8]):
+            assert member == members[8 + j]
+            assert np.allclose(np.log2(member.lengths), np.arange(8) + j / 8.0)
 
     def test_family_space(self):
         fam = kbit_family(9.0, 2)
@@ -202,11 +233,9 @@ class TestKBit:
             branch = int(rng.integers(2))
             k = int(rng.integers(1, 4))
             best = best_hint_index(9.0, k, Target(d, branch))
+            fam = kbit_family(9.0, k)
             costs = [
-                search_cost(
-                    kbit_hint_strategy(9.0, k, BitStringHint(j, k)),
-                    Target(d, branch),
-                )
+                search_cost(fam.select(BitStringHint(j, k)), Target(d, branch))
                 for j in range(2**k)
             ]
             assert costs[best.index] == min(c for c in costs if c is not None)
@@ -226,7 +255,7 @@ class TestOverflowChecks:
                 "r=1000000000.0 with horizon=64",
             ),
             (
-                lambda: direction_hint_strategy(1e10, 1.0, DirectionHint(0)),
+                lambda: direction_family(1e10, 1.0).select(DirectionHint(0)),
                 "b=10000000000.0 with horizon=64",
             ),
             (lambda: kbit_family(1e9, 20), "r=1000000000.0, k=20 with horizon=64"),
@@ -254,14 +283,14 @@ class TestSizeLimit:
             (lambda: best_hint_index(9.0, 2, Target(2.0, 0)), "k=2 with horizon=64"),
             (lambda: position_family(9.0), "r=9.0 with horizon=64 needs 1544"),
             (lambda: direction_family(2.0, 1.0, 65), "b=2.0 with horizon=65"),
-            (lambda: direction_hint_strategy(2.0, 1.0, DirectionHint(0), 129),
+            (lambda: direction_family(2.0, 1.0, 129).select(DirectionHint(0)),
              "horizon must be <= 128, got 129"),
         ],
         ids=["kbit", "partition", "best_hint", "position", "direction", "horizon"],
     )
     def test_checked_before_any_member(self, monkeypatch, build, message):
         built = collections.Counter()
-        for name in ("kbit_hint_strategy", "strategy_from_lengths", "PositionHint"):
+        for name in ("strategy_from_lengths", "PositionHint"):
             original = getattr(hints, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -335,13 +364,14 @@ class TestPartition:
 
     def test_builds_each_member_once(self, monkeypatch):
         built = collections.Counter()
-        member = hints.kbit_hint_strategy
+        build = hints.strategy_from_lengths
 
-        def counting_member(r, k, hint, horizon):
-            built[hint.index] += 1
-            return member(r, k, hint, horizon)
+        def counting_build(lengths, first_branch):
+            # member j of the r = 9, k = 3 family starts at 2**(j/8)
+            built[round(8 * math.log2(lengths[0]))] += 1
+            return build(lengths, first_branch)
 
-        monkeypatch.setattr(hints, "kbit_hint_strategy", counting_member)
+        monkeypatch.setattr(hints, "strategy_from_lengths", counting_build)
         preferred_partition(9.0, 3, 1e4)
         assert built == {j: 1 for j in range(8)}
 
@@ -390,6 +420,19 @@ class TestFamilyJson:
             family_from_json({"family": "mystery"})
         with pytest.raises(ValueError, match="must be an object"):
             family_from_json([1, 2])
+
+    @pytest.mark.parametrize(
+        "obj,field",
+        [
+            ({"family": "direction", "b": 2.0, "delta": 1.0, "r": 9.0}, "r"),
+            ({"family": "kbit", "r": 9.0, "k": 2, "b": 2.0, "a": 1.0}, "a"),
+            ({"family": "position", "r": 9.0, "horizon": 8}, "horizon"),
+        ],
+    )
+    def test_unknown_fields_rejected(self, obj, field):
+        message = f"family '{obj['family']}' has no field '{field}'"
+        with pytest.raises(ValueError, match=message):
+            family_from_json(obj)
 
 
 class TestPartitionJson:
