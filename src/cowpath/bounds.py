@@ -3,27 +3,32 @@
 Conventions: r is the robustness budget (r >= 9), b_r the larger root of
 b**2/(b-1) = (r-1)/2, and every bound formula is an exact closed form,
 the direction frontier included.
+
+This module is the package's numpy-free layer: it imports only the
+standard library, so `cowpath --help`, usage errors and `cowpath frontier`
+never load numpy.  The scalar pieces the other modules share (the robust
+base interval, the k-bit base, the parameter checks, TradeoffPoint) live
+here for that reason.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from itertools import accumulate, count
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-import numpy as np
-
-from .hints import _direction_params, kbit_base
-from .model import (
-    Strategy,
-    base_for_robustness,
-    make_geometric,
-    rho,
-    robust_base_interval,
-)
-from .ratios import TradeoffPoint
+if TYPE_CHECKING:
+    from .model import Strategy
 
 __all__ = [
+    "DEFAULT_HORIZON",
+    "HorizonTooShort",
+    "rho",
+    "base_for_robustness",
+    "robust_base_interval",
+    "kbit_base",
+    "TradeoffPoint",
     "FrontierPoint",
     "FrontierCurve",
     "LowerBound",
@@ -44,6 +49,118 @@ __all__ = [
     "build_frontiers",
     "frontier_to_csv",
 ]
+
+DEFAULT_HORIZON = 64
+
+
+class HorizonTooShort(Exception):
+    """A required target lies beyond every candidate's finite segment prefix."""
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent, or inf where it leaves the float range."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def rho(r: float) -> float:
+    """Half the allowed overhead, (r - 1) / 2; defined for r >= 9."""
+    r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
+    if r < 9.0:
+        raise ValueError(f"r must be >= 9 (no base is r-robust below), got {r!r}")
+    return (r - 1.0) / 2.0
+
+
+def base_for_robustness(r: float) -> float:
+    """Largest geometric base whose ratio 1 + 2*b^2/(b-1) still meets r.
+
+    The identity b^2/(b-1) == rho(r) holds for the returned base.
+    """
+    return robust_base_interval(r)[1]
+
+
+def robust_base_interval(r: float) -> tuple[float, float]:
+    """Both roots of b^2/(b-1) = rho(r): the r-robust base interval."""
+    p = rho(r)
+    # sqrt(p*p - 4p) in two factors: p*p overflows past p ~ 1.3e154
+    hi = (p + math.sqrt(p) * math.sqrt(p - 4.0)) / 2.0
+    # The roots multiply to p; (p - sqrt(p*p - 4p)) / 2 would cancel at large r.
+    return (p / hi, hi)
+
+
+def _check_overflow(base: float, exponent: float, params: str) -> None:
+    """Reject parameters whose longest member length base**exponent leaves
+    the float range, before any array is built."""
+    if not math.isfinite(_pow(base, exponent)):
+        raise ValueError(
+            f"{params} overflows the float range: member lengths reach "
+            f"{base:.6g}**{exponent:.10g}"
+        )
+
+
+def _direction_params(b: float, delta: float, horizon: int = 1) -> tuple[float, float]:
+    """Checked floats b > 1 and delta in (0, 1], with b**(horizon - 1) finite."""
+    b, delta = float(b), float(delta)
+    if not math.isfinite(b) or b <= 1.0:
+        raise ValueError(f"b must be > 1, got {b!r}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta!r}")
+    _check_overflow(b, horizon - 1, f"b={b!r} with horizon={horizon}")
+    return b, delta
+
+
+_MAX_K = 511  # largest k with (1 + 2**k)**2 a finite float
+
+
+def kbit_base(r: float, k: int) -> float:
+    """Growth base of the k-bit family: b_r while rho(r) stays below
+    (1+2**k)**2 / 2**k, then the constant 1 + 2**k."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
+    if k > _MAX_K:
+        raise ValueError(f"k must be <= {_MAX_K}, got {k!r}")
+    p = rho(r)
+    threshold = (1.0 + 2.0**k) ** 2 / 2.0**k
+    if p <= threshold:
+        return base_for_robustness(r)
+    return 1.0 + 2.0**k
+
+
+_METHODS = ("closed_form", "measured")
+
+
+@dataclass(frozen=True)
+class TradeoffPoint:
+    """A (consistency, robustness) pair with its evaluation method.
+
+    ``converged`` reports whether the last five ratio terms of each parity
+    sat within 1e-6 of their maximum (finite prefixes only approach the true
+    suprema).
+    """
+
+    consistency: float
+    robustness: float
+    method: str
+    converged: bool = True
+
+    def __post_init__(self) -> None:
+        c = float(self.consistency)
+        r = float(self.robustness)
+        if self.method not in _METHODS:
+            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if not math.isfinite(c) or c < 1.0 - 1e-9:
+            raise ValueError(f"consistency must be finite and >= 1, got {c!r}")
+        if math.isnan(r) or (math.isfinite(r) and r < 1.0 - 1e-9):
+            raise ValueError(f"robustness must be >= 1 (or inf), got {r!r}")
+        object.__setattr__(self, "consistency", c)
+        object.__setattr__(self, "robustness", r)
+        object.__setattr__(self, "converged", bool(self.converged))
+
 
 class LowerBound(NamedTuple):
     """A lower bound together with the class of strategies it binds."""
@@ -193,10 +310,11 @@ def check_segment_growth_lemma(
     """Margins x_i - (b_r + b_r/(i+1)) x_{i-1} (x_{-1} = 1) for a strategy
     whose competitive ratio is at most r; positive margin = violation."""
     b = base_for_robustness(r)
-    x = strategy.lengths
-    prev = np.concatenate(([1.0], x[:-1]))
-    i = np.arange(len(x), dtype=float)
-    margins = x - (b + b / (i + 1.0)) * prev
+    x = strategy.lengths.tolist()
+    # j = i + 1 counts from 1.0, exact as a float
+    margins = [
+        xi - (b + b / j) * prev for j, xi, prev in zip(count(1.0), x, [1.0, *x[:-1]])
+    ]
     return _report("segment_growth", margins, tolerance)
 
 
@@ -208,28 +326,31 @@ def check_prefix_sum_bound(
     convention (empty sum, trivially holding).  tail_index is the largest i
     where the prefix sum still clears x_i/(b_r - 1) - 1e-2 slack."""
     b = base_for_robustness(r)
-    x = strategy.lengths
-    csum = np.concatenate(([0.0], np.cumsum(x)[:-1]))
-    i = np.arange(len(x), dtype=float)
-    scale = x / (1.0 + 1.0 / (i + 1.0))
-    margins = scale * (b / (b - 1.0) - (i + 2.0) / (i + 1.0)) - csum
+    x = strategy.lengths.tolist()
+    csum = [0.0, *accumulate(x[:-1])]
+    c, slope = b / (b - 1.0), 1.0 / (b - 1.0)
+    # j = i + 1, as in check_segment_growth_lemma
+    margins = [
+        xi / (1.0 + 1.0 / j) * (c - (j + 1.0) / j) - s
+        for j, xi, s in zip(count(1.0), x, csum)
+    ]
     margins[0] = 0.0
-    tail_ok = csum >= (1.0 / (b - 1.0)) * x - 1e-2 * x
-    tail_index = int(np.max(np.nonzero(~tail_ok)[0])) if np.any(~tail_ok) else None
-    return _report("prefix_sum", margins, tolerance, tail_index)
+    short = [
+        i for i, xi, s in zip(count(), x, csum) if not s >= slope * xi - 1e-2 * xi
+    ]
+    return _report("prefix_sum", margins, tolerance, short[-1] if short else None)
 
 
 def _report(
     label: str,
-    margins: np.ndarray,
+    margins: list[float],
     tolerance: float,
     tail_index: Optional[int] = None,
 ) -> InequalityReport:
-    bad = np.nonzero(margins > tolerance)[0]
-    violation = int(bad[0]) if bad.size else None
+    violation = next((i for i, m in enumerate(margins) if m > tolerance), None)
     return InequalityReport(
         label=label,
-        margins=tuple(float(m) for m in margins),
+        margins=tuple(margins),
         holds=violation is None,
         violation_index=violation,
         tolerance=float(tolerance),
@@ -237,15 +358,25 @@ def _report(
     )
 
 
-def robust_base_grid(r: float, points: int = 20) -> np.ndarray:
-    """Evenly spaced bases spanning the feasible interval at budget r."""
+def robust_base_grid(r: float, points: int = 20) -> list[float]:
+    """Evenly spaced bases spanning the feasible interval at budget r: the
+    points of numpy.linspace(lo, hi, points), lo + i * step with the last
+    one exactly hi."""
     lo, hi = robust_base_interval(r)
-    return np.linspace(lo, hi, int(points))
+    points = int(points)
+    if points < 0:
+        raise ValueError(f"points must be >= 0, got {points}")
+    if points < 2:
+        return [lo] * points
+    step = (hi - lo) / (points - 1)
+    return [lo + i * step for i in range(points - 1)] + [hi]
 
 
 def _geometric_sweep(
     check, rs: Sequence[float], points: int, horizon: int
 ) -> list[InequalityReport]:
+    from .model import make_geometric  # model imports this module
+
     return [
         check(make_geometric(b, horizon), r)
         for r in rs

@@ -13,9 +13,9 @@ import math
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bounds import (
+    DEFAULT_HORIZON,
+    HorizonTooShort,
     build_frontiers,
     check_segment_growth_lemma,
     frontier_curve,
@@ -24,21 +24,10 @@ from .bounds import (
     prefix_bound_sweep,
     robust_base_grid,
 )
-from .hints import family_from_json, partition_to_json, preferred_partition
-from .model import (
-    DEFAULT_HORIZON,
-    HorizonTooShort,
-    strategy_from_json,
-    strategy_from_lengths,
-    make_geometric,
-)
-from .ratios import (
-    competitive_ratio_measured,
-    competitive_ratio_terms,
-    evaluate_hinted,
-    oracle_equivalence_gaps,
-    tail_converged,
-)
+
+# Only the numpy-free bounds module is imported here, so --help, usage
+# errors and frontier never load numpy; the commands that need arrays
+# import model, hints and ratios when they run.
 
 __all__ = ["main"]
 
@@ -95,14 +84,24 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _print_strategy_report(strategy) -> None:
+    from .ratios import (
+        competitive_ratio_measured,
+        competitive_ratio_terms,
+        tail_converged,
+    )
+
     terms = competitive_ratio_terms(strategy)
-    closed = float(np.max(terms))
+    closed = float(terms.max())
     suffix = " (converged)" if tail_converged(terms) else ""
     print(f"cr={closed:.6f}{suffix}")
     print(f"cr_measured={competitive_ratio_measured(strategy):.6f}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .hints import family_from_json
+    from .model import make_geometric, strategy_from_json
+    from .ratios import evaluate_hinted
+
     sources = [
         args.file is not None,
         args.json is not None,
@@ -188,7 +187,7 @@ def _verify_sweep(label: str, sweep) -> tuple[bool, str]:
     worst = -math.inf
     where = ""
     for (r, b), report in zip(cells, reports):
-        i = int(np.argmax(report.margins))
+        i = report.margins.index(max(report.margins))
         if report.margins[i] > worst:
             worst, where = report.margins[i], f"r={r:g},b={b:.6g},i={i}"
     ok = all(report.holds for report in reports)
@@ -197,8 +196,10 @@ def _verify_sweep(label: str, sweep) -> tuple[bool, str]:
 
 
 def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
+    from .ratios import oracle_equivalence_gaps
+
     gaps = oracle_equivalence_gaps(count, seed)
-    worst = float(np.max(gaps))
+    worst = float(gaps.max())
     ok = worst <= 1e-6
     line = "holds" if ok else "VIOLATED"
     return ok, (
@@ -208,6 +209,8 @@ def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .model import strategy_from_lengths
+
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
@@ -232,6 +235,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    from .hints import partition_to_json, preferred_partition
+
     for name in ("r", "k", "max"):
         if getattr(args, name) is None:
             raise ValueError(f"partition needs --{name}")
@@ -334,6 +339,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 _CONFIG_ALIASES = {"class": "hint_class", "json": "json_out", "csv": "csv_out"}
 _INT_FLAGS = ("k", "horizon", "count", "seed")
+_FLOAT_FLAGS = ("r", "max")
 
 
 def _apply_config(
@@ -353,6 +359,11 @@ def _apply_config(
         dest = _CONFIG_ALIASES.get(dest, dest)
         if dest not in known:
             raise ValueError(f"config has no matching flag for field '{key}'")
+        if dest in _FLOAT_FLAGS and isinstance(value, bool):
+            # float(True) is 1.0: a bool would pass as a number
+            raise ValueError(
+                f"config field '{key}' (--{dest}) must be a number, got {value!r}"
+            )
         if dest == "r" and args.command == "frontier":
             try:
                 value = _parse_r_range(str(value))

@@ -18,21 +18,24 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .model import (
+from .bounds import (
     DEFAULT_HORIZON,
+    HorizonTooShort,
+    _check_overflow,
+    _direction_params,
+    base_for_robustness,
+    kbit_base,
+)
+from .model import (
     BitStringHint,
     DirectionHint,
     Hint,
-    HorizonTooShort,
     PositionHint,
     Strategy,
     Target,
-    _pow,
     _shortest_reach,
-    base_for_robustness,
     cheapest_search_costs,
     complement,
-    rho,
     search_costs,
     strategy_from_lengths,
 )
@@ -48,7 +51,6 @@ __all__ = [
     "direction_true_hint",
     "direction_trusted_costs",
     "direction_family",
-    "kbit_base",
     "kbit_family",
     "best_hint_index",
     "preferred_partition",
@@ -122,16 +124,6 @@ def _check_size(members: int, horizon: int, params: str, flags: str) -> None:
             f"{params} with horizon={horizon} needs {members} members x "
             f"{horizon} segments, over the limit of {_MAX_SEGMENTS} segments "
             f"(lower {flags})"
-        )
-
-
-def _check_overflow(base: float, exponent: float, params: str) -> None:
-    """Reject parameters whose longest member length base**exponent leaves
-    the float range, before any array is built."""
-    if not math.isfinite(_pow(base, exponent)):
-        raise ValueError(
-            f"{params} overflows the float range: member lengths reach "
-            f"{base:.6g}**{exponent:.10g}"
         )
 
 
@@ -223,17 +215,6 @@ def position_family(
     )
 
 
-def _direction_params(b: float, delta: float, horizon: int = 1) -> tuple[float, float]:
-    """Checked floats b > 1 and delta in (0, 1], with b**(horizon - 1) finite."""
-    b, delta = float(b), float(delta)
-    if not math.isfinite(b) or b <= 1.0:
-        raise ValueError(f"b must be > 1, got {b!r}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta!r}")
-    _check_overflow(b, horizon - 1, f"b={b!r} with horizon={horizon}")
-    return b, delta
-
-
 def direction_true_hint(target: Target) -> DirectionHint:
     """The correct direction hint names the target's branch."""
     return DirectionHint(target.branch)
@@ -272,24 +253,6 @@ def direction_family(
         true_hint_of=direction_true_hint,
         trusted_costs=direction_trusted_costs,
     )
-
-
-_MAX_K = 511  # largest k with (1 + 2**k)**2 a finite float
-
-
-def kbit_base(r: float, k: int) -> float:
-    """Growth base of the k-bit family: b_r while rho(r) stays below
-    (1+2**k)**2 / 2**k, then the constant 1 + 2**k."""
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    if k > _MAX_K:
-        raise ValueError(f"k must be <= {_MAX_K}, got {k!r}")
-    p = rho(r)
-    threshold = (1.0 + 2.0**k) ** 2 / 2.0**k
-    if p <= threshold:
-        return base_for_robustness(r)
-    return 1.0 + 2.0**k
 
 
 def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrategy:

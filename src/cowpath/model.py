@@ -17,9 +17,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .bounds import _pow
+
 __all__ = [
-    "DEFAULT_HORIZON",
-    "HorizonTooShort",
     "Strategy",
     "Target",
     "PositionHint",
@@ -33,21 +33,12 @@ __all__ = [
     "search_cost",
     "search_costs",
     "cheapest_search_costs",
-    "rho",
-    "base_for_robustness",
-    "robust_base_interval",
     "strategy_to_json",
     "strategy_from_json",
 ]
 
-DEFAULT_HORIZON = 64
-
 # Relative slack for float comparisons inside structural invariants.
 _REL_TOL = 1e-9
-
-
-class HorizonTooShort(Exception):
-    """A required target lies beyond every candidate's finite segment prefix."""
 
 
 def complement(branch: int) -> int:
@@ -170,14 +161,6 @@ def strategy_from_lengths(
     lengths = np.asarray(lengths, dtype=float)
     branches = (first + np.arange(lengths.size)) % 2
     return Strategy(lengths, branches)
-
-
-def _pow(base: float, exponent: float) -> float:
-    """base**exponent, or inf where it leaves the float range."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
 
 
 def make_geometric(
@@ -411,32 +394,6 @@ def cheapest_search_costs(
     reach, before, member = reach[order], before[order], member[order]
     costs, pos = _first_reaching(reach[None], before[None], d.reshape(1, -1))
     return costs.reshape(d.shape), member[pos].reshape(d.shape)
-
-
-def rho(r: float) -> float:
-    """Half the allowed overhead, (r - 1) / 2; defined for r >= 9."""
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r!r}")
-    if r < 9.0:
-        raise ValueError(f"r must be >= 9 (no base is r-robust below), got {r!r}")
-    return (r - 1.0) / 2.0
-
-
-def base_for_robustness(r: float) -> float:
-    """Largest geometric base whose ratio 1 + 2*b^2/(b-1) still meets r.
-
-    The identity b^2/(b-1) == rho(r) holds for the returned base.
-    """
-    return robust_base_interval(r)[1]
-
-
-def robust_base_interval(r: float) -> tuple[float, float]:
-    """Both roots of b^2/(b-1) = rho(r): the r-robust base interval."""
-    p = rho(r)
-    # sqrt(p*p - 4p) in two factors: p*p overflows past p ~ 1.3e154
-    s = math.sqrt(p) * math.sqrt(p - 4.0)
-    return ((p - s) / 2.0, (p + s) / 2.0)
 
 
 def strategy_to_json(strategy: Strategy) -> dict:

@@ -14,10 +14,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hints import HintedStrategy
+from .bounds import DEFAULT_HORIZON, HorizonTooShort, TradeoffPoint
+from .hints import HintedStrategy, _check_size
 from .model import (
-    DEFAULT_HORIZON,
-    HorizonTooShort,
     Strategy,
     _shortest_reach,
     _stack,
@@ -26,7 +25,6 @@ from .model import (
 )
 
 __all__ = [
-    "TradeoffPoint",
     "TargetGrid",
     "default_grid",
     "family_grid",
@@ -38,36 +36,6 @@ __all__ = [
     "random_alternating_strategies",
     "oracle_equivalence_gaps",
 ]
-
-_METHODS = ("closed_form", "measured")
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """A (consistency, robustness) pair with its evaluation method.
-
-    ``converged`` reports whether the last five ratio terms of each parity
-    sat within 1e-6 of their maximum (finite prefixes only approach the true
-    suprema).
-    """
-
-    consistency: float
-    robustness: float
-    method: str
-    converged: bool = True
-
-    def __post_init__(self) -> None:
-        c = float(self.consistency)
-        r = float(self.robustness)
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not math.isfinite(c) or c < 1.0 - 1e-9:
-            raise ValueError(f"consistency must be finite and >= 1, got {c!r}")
-        if math.isnan(r) or (math.isfinite(r) and r < 1.0 - 1e-9):
-            raise ValueError(f"robustness must be >= 1 (or inf), got {r!r}")
-        object.__setattr__(self, "consistency", c)
-        object.__setattr__(self, "robustness", r)
-        object.__setattr__(self, "converged", bool(self.converged))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +229,9 @@ def random_alternating_strategies(
     count: int = 200, seed: int = 0, horizon: int = DEFAULT_HORIZON
 ) -> list[Strategy]:
     """Seeded random geometric strategies: base in (1.5, 4], log-uniform scale
-    in [0.25, 4], random first branch."""
+    in [0.25, 4], random first branch.  count x horizon is bounded like a
+    family's members x horizon, before any strategy is built."""
+    _check_size(int(count), int(horizon), f"count={count}", "--count")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(int(count)):

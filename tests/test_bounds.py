@@ -9,6 +9,7 @@ from cowpath.bounds import (
     FrontierCurve,
     FrontierPoint,
     LowerBound,
+    base_for_robustness,
     build_frontiers,
     check_prefix_sum_bound,
     check_segment_growth_lemma,
@@ -24,12 +25,11 @@ from cowpath.bounds import (
     position_consistency_bound,
     prefix_bound_sweep,
     robust_base_grid,
+    robust_base_interval,
 )
 from cowpath.model import (
     Strategy,
-    base_for_robustness,
     make_geometric,
-    robust_base_interval,
     strategy_from_lengths,
 )
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cowpath import cli, hints
+from cowpath import cli, hints, ratios
 from cowpath.cli import main
 from cowpath.hints import direction_family
 from cowpath.model import DirectionHint, strategy_to_json
@@ -367,20 +367,31 @@ class TestVerify:
         def no_work(*args, **kwargs):
             raise AssertionError("a suite ran")
 
-        for name in (
-            "growth_lemma_sweep", "prefix_bound_sweep", "oracle_equivalence_gaps"
+        # cli imports the oracle suite from ratios when it runs
+        for module, name in (
+            (cli, "growth_lemma_sweep"), (cli, "prefix_bound_sweep"),
+            (ratios, "oracle_equivalence_gaps"),
         ):
-            monkeypatch.setattr(cli, name, no_work)
+            monkeypatch.setattr(module, name, no_work)
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert err == f"error: --count must be >= 1, got {argv[-1]}\n"
 
+    def test_count_bounded(self, capsys):
+        # 16385 x 64 segments pass the limit of 2**20
+        code, out, err = run(capsys, "verify", "oracle", "--count", "16385")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: count=16385 with horizon=64 needs 16385 members x 64 "
+            "segments, over the limit of 1048576 segments (lower --count)\n"
+        )
+
     def test_seed_must_be_non_negative(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("a suite ran")
 
-        monkeypatch.setattr(cli, "oracle_equivalence_gaps", no_work)
+        monkeypatch.setattr(ratios, "oracle_equivalence_gaps", no_work)
         code, out, err = run(capsys, "verify", "oracle", "--seed", "-1")
         assert code == 2 and out == ""
         assert err == "error: --seed must be >= 0, got -1\n"
@@ -489,6 +500,24 @@ class TestConfig:
             f"got {config[flag]!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,config,flag",
+        [
+            (["partition"], {"max": True, "r": 9, "k": 1}, "max"),
+            (["partition"], {"r": True, "k": 1, "max": 16}, "r"),
+            (["frontier", "--class", "position"], {"r": False}, "r"),
+        ],
+    )
+    def test_float_flags_reject_bools(self, capsys, tmp_path, argv, config, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: config field '{flag}' (--{flag}) must be a number, "
+            f"got {config[flag]!r}\n"
+        )
+
     @pytest.mark.parametrize("k", [3, 3.0, "3"])
     def test_integer_flags_accept_integral_values(self, capsys, tmp_path, k):
         cfg = tmp_path / "cfg.json"
@@ -531,12 +560,41 @@ class TestTopLevel:
             for name in m.__all__:
                 assert getattr(cowpath, name) is getattr(m, name)
 
-    def test_import_loads_no_scipy(self):
-        # cowpath needs numpy only; a subprocess sees a fresh sys.modules
+    def test_cold_paths_load_no_numpy(self, tmp_path):
+        # each command runs in a fresh interpreter, so sys.modules starts empty
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"class": "all", "r": "9:20:1", "k": 3}))
+        run_cli = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('cowpath', run_name='__main__')\n"
+            "finally:\n"
+            "    assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        cases = [
+            (["-c", "import sys, cowpath\nassert 'numpy' not in sys.modules"], 0),
+            (["-c", run_cli, "--help"], 0),
+            (["-c", run_cli, "eval", "--bogus"], 2),
+            (["-c", run_cli, "frontier", "--class", "all", "--r", "9:20:1",
+              "--k", "3"], 0),
+            (["-c", run_cli, "frontier", "--config", str(cfg)], 0),
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for argv, expected in cases:
+            result = subprocess.run(
+                [sys.executable, *argv], env=env, capture_output=True, text=True
+            )
+            assert result.returncode == expected, (argv, result.stderr)
+
+    def test_first_lookup_binds_every_name(self):
         code = (
-            "import sys, cowpath\n"
-            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
-            "assert not loaded, loaded\n"
+            "import cowpath\n"
+            "assert 'Strategy' not in vars(cowpath)\n"
+            "cowpath.rho\n"
+            "bound = vars(cowpath)\n"
+            "modules = [bound[m] for m in ('model', 'ratios', 'hints', 'bounds')]\n"
+            "assert bound['__all__'] == [n for m in modules for n in m.__all__]\n"
+            "assert all(name in bound for name in bound['__all__'])\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         result = subprocess.run(
@@ -553,7 +611,16 @@ _FAMILY_FIELDS = {"position": ("r",), "direction": ("b", "delta"), "kbit": ("r",
 @st.composite
 def _cli_argv(draw):
     value = st.sampled_from(_MENU)
-    command = draw(st.sampled_from([*_FAMILY_FIELDS, "partition", "frontier"]))
+    command = draw(
+        st.sampled_from([*_FAMILY_FIELDS, "partition", "frontier", "verify"])
+    )
+    if command == "verify":
+        suite = draw(st.sampled_from(("lemma", "corollary", "oracle", "all")))
+        argv = ["verify", suite]
+        for flag in draw(st.lists(st.sampled_from(("--count", "--seed")),
+                                  unique=True)):
+            argv += [flag, draw(value)]
+        return argv
     if command == "frontier":
         hint_class = draw(
             st.sampled_from(("position", "direction", "onebit", "kbit", "all"))

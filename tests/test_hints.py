@@ -16,7 +16,6 @@ from cowpath.hints import (
     direction_family,
     direction_true_hint,
     family_from_json,
-    kbit_base,
     kbit_family,
     partition_to_json,
     position_family,
@@ -24,13 +23,12 @@ from cowpath.hints import (
     position_true_hint,
     preferred_partition,
 )
+from cowpath.bounds import HorizonTooShort, base_for_robustness, kbit_base
 from cowpath.model import (
     BitStringHint,
     DirectionHint,
-    HorizonTooShort,
     PositionHint,
     Target,
-    base_for_robustness,
     search_cost,
 )
 

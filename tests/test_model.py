@@ -7,18 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
+from cowpath.bounds import base_for_robustness, rho, robust_base_interval
 from cowpath.model import (
     BitStringHint,
     DirectionHint,
     PositionHint,
     Strategy,
     Target,
-    base_for_robustness,
     cheapest_search_costs,
     complement,
     make_geometric,
-    rho,
-    robust_base_interval,
     scale_strategy,
     search_cost,
     search_costs,
@@ -305,6 +303,13 @@ class TestRobustBases:
         for r in np.linspace(9.0, 60.0, 25):
             for b in robust_base_interval(r):
                 assert b * b / (b - 1.0) == pytest.approx(rho(r), abs=1e-9)
+
+    @pytest.mark.parametrize("r", [1e20, 1e154, 1.79e308])
+    def test_lower_root_at_huge_r(self, r):
+        # the lower root is just above 1; p - sqrt(p*p - 4p) cancels here
+        lo, hi = robust_base_interval(r)
+        assert 1.0 <= lo < 1.0 + 1e-9
+        assert lo * hi == pytest.approx(rho(r), rel=1e-15)
 
 
 class TestJson:

@@ -6,6 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cowpath.bounds import (
+    base_for_robustness,
+    check_prefix_sum_bound,
+    check_segment_growth_lemma,
+    robust_base_grid,
+    robust_base_interval,
+)
 from cowpath.hints import (
     HintedStrategy,
     best_hint_index,
@@ -21,7 +28,6 @@ from cowpath.model import (
     Target,
     cheapest_search_costs,
     make_geometric,
-    robust_base_interval,
     scale_strategy,
     search_cost,
     search_costs,
@@ -368,3 +374,46 @@ def test_stacked_tail_check_matches_tail_converged(rows):
         for row in rows
     ]
     assert _tails_converged(terms).tolist() == want
+
+
+def _numpy_growth_margins(x, b):
+    prev = np.concatenate(([1.0], x[:-1]))
+    i = np.arange(len(x), dtype=float)
+    return x - (b + b / (i + 1.0)) * prev
+
+
+def _numpy_prefix_margins(x, b):
+    csum = np.concatenate(([0.0], np.cumsum(x)[:-1]))
+    i = np.arange(len(x), dtype=float)
+    scale = x / (1.0 + 1.0 / (i + 1.0))
+    margins = scale * (b / (b - 1.0) - (i + 2.0) / (i + 1.0)) - csum
+    margins[0] = 0.0
+    tail_ok = csum >= (1.0 / (b - 1.0)) * x - 1e-2 * x
+    tail_index = int(np.max(np.nonzero(~tail_ok)[0])) if np.any(~tail_ok) else None
+    return margins, tail_index
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    s=alternating_strategies(),
+    r=st.floats(min_value=9.0, max_value=1e4, **finite),
+    points=st.integers(min_value=0, max_value=40),
+)
+@example(s=make_geometric(2.0, 101), r=9.0, points=20)
+@example(s=strategy_from_lengths([1.0, 100.0]), r=9.0, points=1)
+def test_pure_python_checks_match_numpy(s, r, points):
+    # the numpy formulas the checks used, kept here as the oracle; the same
+    # IEEE operations in the same order give equal floats
+    lo, hi = robust_base_interval(r)
+    assert robust_base_grid(r, points) == np.linspace(lo, hi, points).tolist()
+    b = base_for_robustness(r)
+    tolerance = 1e-9
+    growth = check_segment_growth_lemma(s, r, tolerance)
+    prefix = check_prefix_sum_bound(s, r, tolerance)
+    want, tail_index = _numpy_prefix_margins(s.lengths, b)
+    assert prefix.tail_index == tail_index
+    for report, margins in ((growth, _numpy_growth_margins(s.lengths, b)),
+                            (prefix, want)):
+        assert report.margins == tuple(margins.tolist())
+        bad = np.nonzero(margins > tolerance)[0]
+        assert report.violation_index == (int(bad[0]) if bad.size else None)

@@ -7,15 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from cowpath import hints, ratios
 from cowpath.model import (
-    HorizonTooShort,
     Strategy,
     make_geometric,
     search_costs,
 )
 from cowpath.ratios import (
     TargetGrid,
-    TradeoffPoint,
     competitive_ratio,
     competitive_ratio_measured,
     competitive_ratio_terms,
@@ -26,7 +25,7 @@ from cowpath.ratios import (
     random_alternating_strategies,
     tail_converged,
 )
-from cowpath.bounds import direction_tradeoff
+from cowpath.bounds import HorizonTooShort, TradeoffPoint, direction_tradeoff
 from cowpath.hints import cheapest_trusted_costs, direction_family, position_family
 
 
@@ -255,3 +254,12 @@ class TestOracleEquivalence:
         assert float(np.max(gaps)) <= 1e-6
         # probes one ulp past each turn point read the right limits exactly
         assert float(np.max(oracle_equivalence_gaps(200, 0))) <= 1e-10
+
+    def test_count_bounded_before_any_strategy(self, monkeypatch):
+        monkeypatch.setattr(hints, "_MAX_SEGMENTS", 128)
+        assert len(random_alternating_strategies(2)) == 2  # 2 x 64 fits
+        monkeypatch.setattr(ratios, "make_geometric", None)  # never called
+        for draw in (random_alternating_strategies, oracle_equivalence_gaps):
+            with pytest.raises(ValueError, match="count=3 with horizon=64") as info:
+                draw(3)
+            assert "(lower --count)" in str(info.value)
