@@ -84,16 +84,13 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _print_strategy_report(strategy) -> None:
-    from .ratios import (
-        competitive_ratio_measured,
-        competitive_ratio_terms,
-        tail_converged,
-    )
+    from .model import Members
+    from .ratios import _tails_converged, _terms, competitive_ratio_measured
 
-    terms = competitive_ratio_terms(strategy)
-    closed = float(terms.max())
-    suffix = " (converged)" if tail_converged(terms) else ""
-    print(f"cr={closed:.6f}{suffix}")
+    terms = _terms(Members.stack(strategy))
+    # per parity, the rule evaluate_hinted applies to every member
+    suffix = " (converged)" if _tails_converged(terms)[0] else ""
+    print(f"cr={float(terms.max()):.6f}{suffix}")
     print(f"cr_measured={competitive_ratio_measured(strategy):.6f}")
 
 
@@ -102,13 +99,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .model import make_geometric, strategy_from_json
     from .ratios import evaluate_hinted
 
-    sources = [
-        args.file is not None,
-        args.json is not None,
-        args.geometric is not None,
-        args.family is not None,
-    ]
-    if sum(sources) != 1:
+    sources = (args.file, args.json, args.geometric, args.family)
+    if sum(source is not None for source in sources) != 1:
         raise ValueError(
             "exactly one of --file, --json, --geometric, --family is required"
         )
@@ -209,12 +201,16 @@ def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .hints import _check_size
     from .model import strategy_from_lengths
 
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.suite in ("oracle", "all"):
+        # before any suite runs, with the message the oracle suite would give
+        _check_size(args.count, DEFAULT_HORIZON, f"count={args.count}", "--count")
     checks = []
     if args.suite in ("lemma", "all"):
         ok, detail = _verify_sweep("lemma", growth_lemma_sweep)
@@ -226,10 +222,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.append(_verify_sweep("corollary", prefix_bound_sweep))
     if args.suite in ("oracle", "all"):
         checks.append(_verify_oracle(args.count, args.seed))
-    ok = True
-    for passed, detail in checks:
+    for _, detail in checks:
         print(detail)
-        ok = ok and passed
+    ok = all(passed for passed, _ in checks)
     print("verify: PASS" if ok else "verify: FAIL")
     return 0 if ok else 1
 
@@ -247,15 +242,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
         for iv in part.intervals(branch):
             rows.append(f"{branch},{iv.lo:.9g},{iv.hi:.9g},{iv.label}")
     csv_text = "\n".join(rows) + "\n"
-    wrote = False
-    if args.json_out is not None:
-        _write_text(args.json_out, payload)
-        wrote = True
+    if args.json_out is not None or args.csv_out is None:
+        _write_text(args.json_out, payload)  # stdout when neither is given
     if args.csv_out is not None:
         _write_text(args.csv_out, csv_text)
-        wrote = True
-    if not wrote:
-        sys.stdout.write(payload)
     return 0
 
 
@@ -329,12 +319,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             "--config",
             help="JSON file of flag defaults (explicit flags win)",
         )
-    return parser, {
-        "eval": p_eval,
-        "frontier": p_frontier,
-        "verify": p_verify,
-        "partition": p_part,
-    }
+    return parser, sub.choices
 
 
 _CONFIG_ALIASES = {"class": "hint_class", "json": "json_out", "csv": "csv_out"}
@@ -359,18 +344,20 @@ def _apply_config(
         dest = _CONFIG_ALIASES.get(dest, dest)
         if dest not in known:
             raise ValueError(f"config has no matching flag for field '{key}'")
+        bad_number = f"config field '{key}' (--{dest}) must be a number, got {value!r}"
         if dest in _FLOAT_FLAGS and isinstance(value, bool):
             # float(True) is 1.0: a bool would pass as a number
-            raise ValueError(
-                f"config field '{key}' (--{dest}) must be a number, got {value!r}"
-            )
+            raise ValueError(bad_number)
         if dest == "r" and args.command == "frontier":
             try:
                 value = _parse_r_range(str(value))
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"config field 'r' (--r): {exc}") from None
         elif dest == "r":
-            value = float(value)
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(bad_number) from None
         elif dest in _INT_FLAGS and not isinstance(value, str):
             # argparse parses a string default with the flag's type, and
             # passes any other value as it is

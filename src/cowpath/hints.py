@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .model import (
     BitStringHint,
     DirectionHint,
     Hint,
+    Members,
     PositionHint,
     Strategy,
     Target,
@@ -60,11 +61,11 @@ __all__ = [
 
 
 def cheapest_trusted_costs(
-    members: Mapping[Hint, Strategy], distances: np.ndarray, branch: int
+    members: Members, hints: tuple[Hint, ...], distances: np.ndarray, branch: int
 ) -> np.ndarray:
     """Batched trusted cost when every hint is trusted: the cheapest member
     at each distance (inf where none finds the target)."""
-    return cheapest_search_costs(members.values(), distances, branch)[0]
+    return cheapest_search_costs(members, distances, branch)[0]
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,10 @@ class HintedStrategy:
     the true space is continuous).  ``true_hint_of`` maps a target to its
     trusted hint(s); None means the correct hint is whichever member finds
     the target cheapest.  It is the per-target reference rule.
-    ``trusted_costs(members, distances, branch)`` is the same rule batched:
-    the cost of the trusted member at every distance on one branch (NaN or
-    inf where it misses), given the built members keyed by hint.
+    ``trusted_costs(members, hints, distances, branch)`` is the same rule
+    batched: the cost of the trusted member at every distance on one branch
+    (NaN or inf where it misses), given the members as one Members record
+    whose row i is ``select(hints[i])``.
     """
 
     family: str
@@ -95,7 +97,7 @@ class HintedStrategy:
         default=None, compare=False
     )
     trusted_costs: Callable[
-        [Mapping[Hint, Strategy], np.ndarray, int], np.ndarray
+        [Members, tuple[Hint, ...], np.ndarray, int], np.ndarray
     ] = field(default=cheapest_trusted_costs, compare=False)
 
 
@@ -175,7 +177,7 @@ def _position_trusted_costs(anchors: np.ndarray, powers: np.ndarray):
     sums = np.zeros(anchors.size + 1)
     np.cumsum(powers, out=sums[1:])
 
-    def trusted_costs(members, distances, branch):
+    def trusted_costs(members, hints, distances, branch):
         d = np.asarray(distances, dtype=float)
         j = np.searchsorted(anchors, d, side="left")
         inside = j < anchors.size
@@ -221,11 +223,12 @@ def direction_true_hint(target: Target) -> DirectionHint:
 
 
 def direction_trusted_costs(
-    members: Mapping[Hint, Strategy], distances: np.ndarray, branch: int
+    members: Members, hints: tuple[Hint, ...], distances: np.ndarray, branch: int
 ) -> np.ndarray:
     """Batched trusted cost of the direction family: the member that
     searches ``branch`` first."""
-    return search_costs(members[DirectionHint(branch)], distances, branch)
+    row = members.row(hints.index(DirectionHint(branch)))
+    return search_costs(row, distances, branch)
 
 
 def direction_family(
@@ -284,9 +287,9 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     )
 
 
-def _kbit_members(r: float, k: int, horizon: int) -> list[Strategy]:
+def _kbit_members(r: float, k: int, horizon: int) -> Members:
     family = kbit_family(r, k, horizon)
-    return [family.select(hint) for hint in family.hint_space]
+    return Members.stack([family.select(hint) for hint in family.hint_space])
 
 
 def best_hint_index(
@@ -364,7 +367,7 @@ def preferred_partition(
         raise HorizonTooShort(
             f"max_distance {max_distance} exceeds the family reach {reach}"
         )
-    breakpoints = np.unique(np.concatenate([m.lengths for m in members]))
+    breakpoints = np.unique(members.lengths)  # the NaN padding fails both tests
     breakpoints = breakpoints[(breakpoints > 1.0) & (breakpoints < max_distance)]
     bounds = np.concatenate(([1.0], breakpoints, [max_distance]))
     mids = np.maximum(1.0, 0.5 * (bounds[:-1] + bounds[1:]))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -31,6 +30,7 @@ __all__ = [
     "make_geometric",
     "scale_strategy",
     "search_cost",
+    "Members",
     "search_costs",
     "cheapest_search_costs",
     "strategy_to_json",
@@ -134,13 +134,6 @@ class Strategy:
 
     def __len__(self) -> int:
         return self.lengths.size
-
-    @cached_property
-    def prefix_sums(self) -> np.ndarray:
-        """prefix_sums[i] = sum of lengths[0:i]; length N+1."""
-        out = np.zeros(len(self) + 1)
-        np.cumsum(self.lengths, out=out[1:])
-        return out
 
     def turn_points(self, branch: int) -> np.ndarray:
         """Distances of this strategy's turn points on ``branch``, in order."""
@@ -266,26 +259,48 @@ def search_cost(strategy: Strategy, target: Target) -> Optional[float]:
     return None
 
 
-def _stack(strategies: Sequence[Strategy]) -> tuple[np.ndarray, ...]:
-    """The strategies as the rows of three arrays, right-padded to the
-    longest strategy: ``lengths`` (NaN past a row's end), ``branches`` (-1
-    past a row's end) and ``sums``, where sums[i, j] is the sum of row i's
-    first j lengths (one column more than the others)."""
-    sizes = np.array([len(s) for s in strategies])
-    inside = np.arange(sizes.max()) < sizes[:, None]
-    lengths = np.full(inside.shape, np.nan)
-    branches = np.full(inside.shape, -1, dtype=np.int8)
-    lengths[inside] = np.concatenate([s.lengths for s in strategies])
-    branches[inside] = np.concatenate([s.branches for s in strategies])
-    sums = np.zeros((sizes.size, inside.shape[1] + 1))
-    np.cumsum(lengths, axis=1, out=sums[:, 1:])
-    return lengths, branches, sums
+@dataclass(frozen=True, eq=False)
+class Members:
+    """The one padded layout every batched evaluator reads: strategies as the
+    rows of three read-only arrays, right-padded to the longest, ``lengths``
+    (NaN past a row's end), ``branches`` (-1 past it) and ``sums``, where
+    sums[i, j] is the sum of row i's first j lengths (one column more)."""
+
+    lengths: np.ndarray
+    branches: np.ndarray
+    sums: np.ndarray
+
+    @classmethod
+    def stack(cls, strategies: Union[Strategy, Iterable[Strategy], Members]) -> Members:
+        """The record of one strategy or several, in order; a record passes through."""
+        if isinstance(strategies, Members):
+            return strategies
+        rows = [strategies] if isinstance(strategies, Strategy) else list(strategies)
+        sizes = np.array([len(s) for s in rows], dtype=np.int64)
+        inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        lengths = np.full(inside.shape, np.nan)
+        branches = np.full(inside.shape, -1, dtype=np.int8)
+        if rows:
+            lengths[inside] = np.concatenate([s.lengths for s in rows])
+            branches[inside] = np.concatenate([s.branches for s in rows])
+        sums = np.zeros((sizes.size, inside.shape[1] + 1))
+        np.cumsum(lengths, axis=1, out=sums[:, 1:])
+        for a in (lengths, branches, sums):
+            a.flags.writeable = False
+        return cls(lengths, branches, sums)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def row(self, i: int) -> Members:
+        """Member i alone, as a one-row record of views."""
+        return Members(*(a[i : i + 1] for a in vars(self).values()))
 
 
-def _shortest_reach(strategies: Sequence[Strategy]) -> float:
-    """The smallest farthest turn point over the strategies and both
-    branches (0.0 where a strategy never searches a branch)."""
-    lengths, branches, _ = _stack(strategies)
+def _shortest_reach(members: Members) -> float:
+    """The smallest farthest turn point over the members and both branches
+    (0.0 where a member never searches a branch)."""
+    lengths, branches = members.lengths, members.branches
     return min(
         float(np.min(np.max(np.where(branches == b, lengths, 0.0), axis=1)))
         for b in (0, 1)
@@ -329,17 +344,17 @@ def _first_reaching(
 
 
 def search_costs(
-    strategies: Union[Strategy, Sequence[Strategy]],
+    strategies: Union[Strategy, Sequence[Strategy], Members],
     distances: np.ndarray,
     branch: int,
 ) -> np.ndarray:
     """Vectorized search_cost for many distances on one branch.
 
-    Given one strategy, ``distances`` may have any shape and every distance
-    is scored on that strategy.  Given a sequence of m strategies, it must
-    have shape (m, n): row i is scored on strategy i.  Returns costs of the
-    distances' shape, NaN where the prefix never covers the target.
-    Distances must all be >= 1.
+    Given one strategy (or one row), ``distances`` may have any shape and
+    every distance is scored on that strategy.  Given m strategies (or m
+    rows) it must have shape (m, n): row i is scored on strategy i.
+    Returns costs of the distances' shape, NaN where the prefix never
+    covers the target.  Distances must all be >= 1.
 
     Row i of the kernel is strategy i's segments, with reach 0 off the
     branch, so the first segment whose running-maximum reach is >= d is the
@@ -348,24 +363,24 @@ def search_costs(
     """
     branch = _check_branch(branch)
     d = _check_distances(distances)
-    if isinstance(strategies, Strategy):
-        return search_costs([strategies], d.reshape(1, -1), branch).reshape(d.shape)
-    if d.ndim != 2 or d.shape[0] != len(strategies):
+    members = Members.stack(strategies)
+    rows = d.reshape(1, -1) if len(members) == 1 else d
+    if rows.ndim != 2 or rows.shape[0] != len(members):
         raise ValueError(
             f"distances must have one row per strategy, got shape {d.shape} "
-            f"for {len(strategies)} strategies"
+            f"for {len(members)} strategies"
         )
-    lengths, branches, before = _stack(strategies)
     # The sentinel column has prefix sum NaN: a target the row never finds
     # costs NaN.
-    reach = np.full(before.shape, np.inf)
-    reach[:, :-1] = np.where(branches == branch, lengths, 0.0)
+    reach = np.full(members.sums.shape, np.inf)
+    reach[:, :-1] = np.where(members.branches == branch, members.lengths, 0.0)
+    before = members.sums.copy()
     before[:, -1] = np.nan
-    return _first_reaching(reach, before, d)[0]
+    return _first_reaching(reach, before, rows)[0].reshape(d.shape)
 
 
 def cheapest_search_costs(
-    strategies: Iterable[Strategy], distances: np.ndarray, branch: int
+    strategies: Union[Iterable[Strategy], Members], distances: np.ndarray, branch: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per distance on ``branch``: the lowest search cost among ``strategies``
     and the index of the strategy that attains it.  Where no strategy finds
@@ -380,15 +395,12 @@ def cheapest_search_costs(
     """
     branch = _check_branch(branch)
     d = _check_distances(distances)
-    strategies = list(strategies)
-    if not strategies:
-        return np.full(d.shape, np.inf), np.full(d.shape, -1, dtype=np.int64)
-    lengths, branches, sums = _stack(strategies)
-    on = branches == branch
+    members = Members.stack(strategies)
+    on = members.branches == branch
     # The sentinel segment has infinite reach and prefix sum, and index -1:
     # a target no strategy finds costs inf.
-    reach = np.append(lengths[on], np.inf)
-    before = np.append(sums[:, :-1][on], np.inf)
+    reach = np.append(members.lengths[on], np.inf)
+    before = np.append(members.sums[:, :-1][on], np.inf)
     member = np.append(np.nonzero(on)[0], -1)
     order = np.lexsort((member, before))
     reach, before, member = reach[order], before[order], member[order]

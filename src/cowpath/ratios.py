@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .bounds import DEFAULT_HORIZON, HorizonTooShort, TradeoffPoint
 from .hints import HintedStrategy, _check_size
 from .model import (
+    Members,
     Strategy,
     _shortest_reach,
-    _stack,
     make_geometric,
     search_costs,
 )
@@ -76,24 +76,24 @@ def default_grid(strategy: Strategy) -> TargetGrid:
     return TargetGrid(np.unique(np.append(_turn_probes(strategy.lengths), 1.0)))
 
 
-def family_grid(members: Iterable[Strategy]) -> TargetGrid:
+def family_grid(members: Union[Iterable[Strategy], Members]) -> TargetGrid:
     """Joint grid for a family: distance 1 plus a probe just past every
     member's turn points, capped at the smallest per-branch reach so each
     target is inside every horizon."""
-    members = list(members)
-    if not members:
+    members = Members.stack(members)
+    if not len(members):
         raise ValueError("family grid needs at least one member strategy")
     cap = _shortest_reach(members)
     if cap < 1.0:
         raise ValueError("family horizon does not reach distance 1 on both branches")
-    probes = _turn_probes(np.concatenate([m.lengths for m in members]))
+    probes = _turn_probes(members.lengths)  # NaN padding yields no probe
     return TargetGrid(np.unique(np.append(probes[probes <= cap], 1.0)))
 
 
-def _terms(lengths: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Ratio terms of stacked rows (see model._stack); NaN past a row's end."""
-    terms = 2.0 * sums[:, 1:]
-    terms[:, 1:] /= lengths[:, :-1]  # x_{-1} = 1
+def _terms(members: Members) -> np.ndarray:
+    """Ratio terms of each member's row; NaN past a row's end."""
+    terms = 2.0 * members.sums[:, 1:]
+    terms[:, 1:] /= members.lengths[:, :-1]  # x_{-1} = 1
     terms += 1.0
     return terms
 
@@ -103,7 +103,7 @@ def competitive_ratio_terms(strategy: Strategy) -> np.ndarray:
 
     The competitive ratio is the maximum of these terms.
     """
-    return _terms(strategy.lengths[None], strategy.prefix_sums[None])[0]
+    return _terms(Members.stack(strategy))[0]
 
 
 def competitive_ratio(strategy: Strategy) -> float:
@@ -140,29 +140,28 @@ def _tails_converged(terms: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _probe_rows(strategies: list[Strategy], first: np.ndarray) -> np.ndarray:
-    """Row i: the distances ``first`` and one ulp past strategy i's turn
+def _probe_rows(members: Members, first: np.ndarray) -> np.ndarray:
+    """Row i: the distances ``first`` and one ulp past member i's turn
     points.  A probe below 1 or past the row's end repeats first[0], which
     leaves the row's maximum ratio as it is."""
-    lengths = _stack(strategies)[0]
-    d = np.empty((len(strategies), first.size + lengths.shape[1]))
+    d = np.empty((len(members), first.size + members.lengths.shape[1]))
     d[:, : first.size] = first
-    probes = np.nextafter(lengths, np.inf, out=d[:, first.size :])
+    probes = np.nextafter(members.lengths, np.inf, out=d[:, first.size :])
     probes[~(probes >= 1.0)] = first[0]  # NaN (past the end) compares false
     return d
 
 
 def _measured_ratios(
-    strategies: list[Strategy], grid: Optional[TargetGrid] = None
+    members: Members, grid: Optional[TargetGrid] = None
 ) -> np.ndarray:
-    """Per strategy, its brute-force competitive ratio (see
+    """Per member, its brute-force competitive ratio (see
     competitive_ratio_measured): one row-wise search_costs call per branch
-    scores every strategy on the grid (distance 1 when None) and its own
+    scores every member on the grid (distance 1 when None) and its own
     turn-point probes."""
-    d = _probe_rows(strategies, np.array([1.0]) if grid is None else grid.distances)
-    best = np.full(len(strategies), np.nan)
+    d = _probe_rows(members, np.array([1.0]) if grid is None else grid.distances)
+    best = np.full(len(members), np.nan)
     for branch in (0, 1):
-        ratios = search_costs(strategies, d, branch)
+        ratios = search_costs(members, d, branch)
         ratios /= d
         best = np.fmax(best, np.fmax.reduce(ratios, axis=1))
     if np.isnan(best).any():
@@ -177,7 +176,7 @@ def competitive_ratio_measured(
     distances and one ulp past each of the strategy's own turn points, on
     both branches, restricted to targets the prefix actually finds.  The
     grid defaults to default_grid(strategy)."""
-    return float(_measured_ratios([strategy], grid)[0])
+    return float(_measured_ratios(Members.stack(strategy), grid)[0])
 
 
 def evaluate_hinted(
@@ -185,29 +184,26 @@ def evaluate_hinted(
 ) -> TradeoffPoint:
     """Measured consistency and robustness of a hinted family.
 
-    Consistency is the worst ratio over targets when the hint is trusted:
-    the family's batched ``trusted_costs`` rule gives, per target, the cost
-    of the member its trusted hint selects.  To trust the whole hint space
-    (the cheapest member counts), pass
+    Each hint's member is built once and stacked once, into the record every
+    step reads.  Consistency is the worst ratio over targets when the hint
+    is trusted: the family's batched ``trusted_costs`` rule gives, per
+    target, the cost of the member its trusted hint selects.  To trust the
+    whole hint space (the cheapest member counts), pass
     ``dataclasses.replace(family, trusted_costs=cheapest_trusted_costs)``.
     Robustness is the worst member's measured competitive ratio, each member
     probed at its own turn points (the adversarial targets are
     member-specific); one row-wise search_costs pass per branch scores every
-    member.  Targets no trusted member finds raise HorizonTooShort.  Each
-    hint's member is built once.
+    member.  Targets no trusted member finds raise HorizonTooShort.
     """
     hints = family.hint_space
     if not hints:
         raise ValueError("hint_space must be a non-empty finite collection")
-    members = [family.select(h) for h in hints]
-    if grid is None:
-        grid = family_grid(members)
-    distances = grid.distances
+    members = Members.stack([family.select(h) for h in hints])
+    distances = (family_grid(members) if grid is None else grid).distances
 
-    by_hint = dict(zip(hints, members))
     consistency = 1.0
     for branch in (0, 1):
-        costs = family.trusted_costs(by_hint, distances, branch)
+        costs = family.trusted_costs(members, hints, distances, branch)
         missed = ~np.isfinite(costs)
         if missed.any():
             d_bad = float(distances[missed][0])
@@ -220,8 +216,7 @@ def evaluate_hinted(
     robustness = float(np.max(_measured_ratios(members)))
     # Per parity: a member whose two branches grow at different rates has
     # terms that alternate between two limits.
-    lengths, _, sums = _stack(members)
-    converged = bool(np.all(_tails_converged(_terms(lengths, sums))))
+    converged = bool(np.all(_tails_converged(_terms(members))))
     return TradeoffPoint(consistency, robustness, "measured", converged)
 
 
@@ -250,6 +245,6 @@ def oracle_equivalence_gaps(
     strategies = random_alternating_strategies(count, seed, horizon)
     if not strategies:
         return np.empty(0)
-    lengths, _, sums = _stack(strategies)
-    closed = np.fmax.reduce(_terms(lengths, sums), axis=1)
-    return np.abs(closed - _measured_ratios(strategies))
+    members = Members.stack(strategies)
+    closed = np.fmax.reduce(_terms(members), axis=1)
+    return np.abs(closed - _measured_ratios(members))

@@ -84,6 +84,19 @@ class TestEval:
         robustness = float(out.split("robustness=")[1].split()[0])
         assert cr == pytest.approx(robustness, abs=1e-6)
 
+    def test_file_reports_per_parity_convergence(self, capsys, tmp_path):
+        # delta < 1: the terms alternate between two limits, and the file
+        # report applies the per-parity rule the family eval applies
+        member = direction_family(2.0, 0.5).select(DirectionHint(0))
+        path = tmp_path / "member.json"
+        path.write_text(json.dumps(strategy_to_json(member)))
+        code, out, _ = run(capsys, "eval", "--file", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "cr=14.333333 (converged)",
+            "cr_measured=14.333333",
+        ]
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "eval")
         assert code == 2 and "exactly one of" in err
@@ -378,14 +391,24 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --count must be >= 1, got {argv[-1]}\n"
 
-    def test_count_bounded(self, capsys):
-        # 16385 x 64 segments pass the limit of 2**20
-        code, out, err = run(capsys, "verify", "oracle", "--count", "16385")
-        assert code == 2 and out == ""
-        assert err == (
-            "error: count=16385 with horizon=64 needs 16385 members x 64 "
-            "segments, over the limit of 1048576 segments (lower --count)\n"
-        )
+    def test_count_bounded(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        # the count is checked before any suite runs
+        for module, name in (
+            (cli, "growth_lemma_sweep"), (cli, "prefix_bound_sweep"),
+            (ratios, "oracle_equivalence_gaps"),
+        ):
+            monkeypatch.setattr(module, name, no_work)
+        for suite in ("oracle", "all"):
+            # 16385 x 64 segments pass the limit of 2**20
+            code, out, err = run(capsys, "verify", suite, "--count", "16385")
+            assert code == 2 and out == ""
+            assert err == (
+                "error: count=16385 with horizon=64 needs 16385 members x 64 "
+                "segments, over the limit of 1048576 segments (lower --count)\n"
+            )
 
     def test_seed_must_be_non_negative(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):
@@ -506,6 +529,8 @@ class TestConfig:
             (["partition"], {"max": True, "r": 9, "k": 1}, "max"),
             (["partition"], {"r": True, "k": 1, "max": 16}, "r"),
             (["frontier", "--class", "position"], {"r": False}, "r"),
+            (["partition"], {"r": None, "k": 1, "max": 4}, "r"),
+            (["partition"], {"r": "abc", "k": 1, "max": 4}, "r"),
         ],
     )
     def test_float_flags_reject_bools(self, capsys, tmp_path, argv, config, flag):
@@ -517,6 +542,14 @@ class TestConfig:
             f"error: config field '{flag}' (--{flag}) must be a number, "
             f"got {config[flag]!r}\n"
         )
+
+    def test_numeric_string_r(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": "9.5", "k": 1, "max": 4}))
+        code, out, _ = run(capsys, "partition", "--config", str(cfg))
+        assert code == 0
+        flags = ["--r", "9.5", "--k", "1", "--max", "4"]
+        assert out == run(capsys, "partition", *flags)[1]
 
     @pytest.mark.parametrize("k", [3, 3.0, "3"])
     def test_integer_flags_accept_integral_values(self, capsys, tmp_path, k):

@@ -77,7 +77,6 @@ class TestStrategy:
         s = make_geometric(2.0, 5)
         assert np.array_equal(s.lengths, [1, 2, 4, 8, 16])
         assert np.array_equal(s.branches, [0, 1, 0, 1, 0])
-        assert np.array_equal(s.prefix_sums, [0, 1, 3, 7, 15, 31])
 
     def test_turn_points(self):
         s = make_geometric(2.0, 5)

@@ -23,6 +23,7 @@ from cowpath.hints import (
     preferred_partition,
 )
 from cowpath.model import (
+    Members,
     PositionHint,
     Strategy,
     Target,
@@ -34,6 +35,7 @@ from cowpath.model import (
     strategy_from_lengths,
 )
 from cowpath.ratios import (
+    _measured_ratios,
     _tails_converged,
     competitive_ratio,
     competitive_ratio_measured,
@@ -164,6 +166,53 @@ def two_apart_strategies(draw):
     return Strategy(lengths, branches)
 
 
+def _same(a, b):
+    """Bit-identical arrays: same shape, dtype and bytes (NaN included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    strategies=st.lists(two_apart_strategies(), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_record_matches_strategy_list(strategies, data):
+    members = Members.stack(strategies)
+    assert len(members) == len(strategies)
+    assert members.lengths.shape[1] == max(map(len, strategies))
+    for i, s in enumerate(strategies):
+        n = len(s)
+        assert _same(members.lengths[i, :n], s.lengths)
+        assert np.isnan(members.lengths[i, n:]).all()
+        assert members.branches[i, :n].tolist() == s.branches.tolist()
+        assert (members.branches[i, n:] == -1).all()
+        assert members.sums[i, 0] == 0.0
+        assert _same(members.sums[i, 1 : n + 1], np.cumsum(s.lengths))
+    ds = data.draw(
+        st.lists(
+            st.floats(min_value=1.0, max_value=130.0, **finite),
+            min_size=len(strategies) * 3,
+            max_size=len(strategies) * 3,
+        )
+    )
+    rows = np.reshape(ds, (len(strategies), 3))
+    for branch in (0, 1):
+        by_row = search_costs(members, rows, branch)
+        assert _same(by_row, search_costs(strategies, rows, branch))
+        for i, s in enumerate(strategies):
+            assert _same(by_row[i], search_costs(s, rows[i], branch))
+        for got, want in zip(
+            cheapest_search_costs(members, rows, branch),
+            cheapest_search_costs(strategies, rows, branch),
+        ):
+            assert _same(got, want)
+    # every strategy must find distance 1 somewhere to have a measured ratio
+    assume(all(s.lengths.max() >= 1.0 for s in strategies))
+    measured = _measured_ratios(members)
+    assert _same(measured, [competitive_ratio_measured(s) for s in strategies])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     s=two_apart_strategies(),
@@ -204,9 +253,10 @@ def hinted_families(draw):
     ),
 )
 def test_batched_trusted_cost_matches_scalar_rule(family, ds):
-    members = {h: family.select(h) for h in family.hint_space}
+    space = family.hint_space
+    members = Members.stack([family.select(h) for h in space])
     for branch in (0, 1):
-        got = family.trusted_costs(members, np.asarray(ds), branch)
+        got = family.trusted_costs(members, space, np.asarray(ds), branch)
         for d, cost in zip(ds, got):
             target = Target(d, branch)
             trusted = family.true_hint_of

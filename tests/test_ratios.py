@@ -9,7 +9,9 @@ import pytest
 
 from cowpath import hints, ratios
 from cowpath.model import (
+    Members,
     Strategy,
+    Target,
     make_geometric,
     search_costs,
 )
@@ -235,6 +237,33 @@ class TestEvaluateHinted:
         assert point.consistency == pytest.approx(3.0, abs=1e-6)
         assert set(selected) <= set(family.hint_space)
         assert max(selected.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: evaluate_hinted(position_family(9.0, hints_per_decade=8)),
+        lambda: evaluate_hinted(direction_family(2.0, 0.5)),
+        lambda: evaluate_hinted(hints.kbit_family(9.0, 4)),
+        lambda: oracle_equivalence_gaps(20),
+        lambda: hints.preferred_partition(9.0, 4, 1e4),
+        lambda: hints.best_hint_index(9.0, 4, Target(7.0, 1)),
+    ],
+    ids=["position", "direction", "kbit", "oracle", "partition", "best-hint"],
+)
+def test_each_evaluation_stacks_its_members_once(monkeypatch, evaluate):
+    built = []
+    original = Members.stack.__func__
+
+    def counting_stack(cls, strategies):
+        # a record passes through unchanged; anything else is stacked
+        if not isinstance(strategies, Members):
+            built.append(strategies)
+        return original(cls, strategies)
+
+    monkeypatch.setattr(Members, "stack", classmethod(counting_stack))
+    evaluate()
+    assert len(built) == 1
 
 
 class TestOracleEquivalence:
