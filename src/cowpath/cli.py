@@ -353,7 +353,7 @@ def _apply_config(
                 value = _parse_r_range(str(value))
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"config field 'r' (--r): {exc}") from None
-        elif dest == "r":
+        elif dest in _FLOAT_FLAGS:
             try:
                 value = float(value)
             except (TypeError, ValueError):

@@ -34,11 +34,10 @@ from .model import (
     PositionHint,
     Strategy,
     Target,
+    _alternating_rows,
     _shortest_reach,
     cheapest_search_costs,
-    complement,
     search_costs,
-    strategy_from_lengths,
 )
 
 __all__ = [
@@ -73,10 +72,11 @@ class HintedStrategy:
     """A strategy family keyed by hints.
 
     ``select`` maps a hint to a member strategy; it is the family's one
-    member rule.  Each family checks its parameters and derives the arrays
-    its members share once, when it is built, so ``select`` checks only the
-    hint.  ``hint_space`` is the finite set of admissible hints (a grid when
-    the true space is continuous).  ``true_hint_of`` maps a target to its
+    member rule.  Each family checks its parameters and builds its members
+    once, when it is built, as the rows of one record checked in one pass,
+    so ``select`` checks only the hint and looks its member up.
+    ``hint_space`` is the finite set of admissible hints (a grid when the
+    true space is continuous).  ``true_hint_of`` maps a target to its
     trusted hint(s); None means the correct hint is whichever member finds
     the target cheapest.  It is the per-target reference rule.
     ``trusted_costs(members, hints, distances, branch)`` is the same rule
@@ -138,20 +138,16 @@ def _position_geometry(r: float, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     return anchors, np.power(base, np.arange(horizon, dtype=float))
 
 
-def _position_member(anchors: np.ndarray, powers: np.ndarray, hint) -> Strategy:
-    """position_hint_strategy, given the arrays of _position_geometry."""
-    if not isinstance(hint, PositionHint):
-        raise ValueError(f"position family needs a PositionHint, got {hint!r}")
-    j = int(np.searchsorted(anchors, hint.distance, side="left"))
-    if j == anchors.size:
-        raise HorizonTooShort(
-            f"hint distance {hint.distance!r} lies past horizon {anchors.size}: "
-            f"the farthest anchor is {anchors[-1]:.6g}"
-        )
-    lengths = powers / (anchors[j] / hint.distance)  # shrink in [1, b_r)
-    lengths[j] = hint.distance  # exact: rounding must not undershoot the hint
-    first = hint.branch if j % 2 == 0 else complement(hint.branch)
-    return strategy_from_lengths(lengths, first)
+def _position_rows(anchors: np.ndarray, powers: np.ndarray, hints) -> Callable:
+    """The members of position hints within the horizon, given the arrays of
+    _position_geometry, as one record built in one broadcast: row(i) is
+    the member of hints[i]."""
+    d = np.array([hint.distance for hint in hints])
+    j = np.searchsorted(anchors, d, side="left")
+    lengths = powers[None] / (anchors[j] / d)[:, None]  # shrink in [1, b_r)
+    lengths[np.arange(j.size), j] = d  # exact: rounding must not undershoot the hint
+    # segment j searches the hinted branch
+    return _alternating_rows(lengths, (j + [hint.branch for hint in hints]) % 2)
 
 
 def position_hint_strategy(
@@ -160,8 +156,15 @@ def position_hint_strategy(
     """Geometric base-b_r strategy shrunk so that its anchor turn point j
     lands exactly on the hinted position, with segment j searching the hinted
     branch."""
-    horizon = _check_horizon(horizon)
-    return _position_member(*_position_geometry(r, horizon), hint)
+    anchors, powers = _position_geometry(r, _check_horizon(horizon))
+    if not isinstance(hint, PositionHint):
+        raise ValueError(f"position family needs a PositionHint, got {hint!r}")
+    if hint.distance > anchors[-1]:
+        raise HorizonTooShort(
+            f"hint distance {hint.distance!r} lies past horizon {anchors.size}: "
+            f"the farthest anchor is {anchors[-1]:.6g}"
+        )
+    return _position_rows(anchors, powers, [hint])(0)
 
 
 def position_true_hint(target: Target) -> PositionHint:
@@ -206,11 +209,21 @@ def position_family(
     anchors, powers = _position_geometry(r, horizon)
     distances = np.logspace(0.0, decades, count).tolist()
     hint_space = tuple(PositionHint(d, b) for b in (0, 1) for d in distances)
+    # Grid hints past the horizon get no member: select raises for them.
+    grid = [hint for hint in hint_space if hint.distance <= anchors[-1]]
+    row = _position_rows(anchors, powers, grid)
+    index = {hint: i for i, hint in enumerate(grid)}
+
+    def select(hint) -> Strategy:
+        i = index.get(hint) if isinstance(hint, PositionHint) else None
+        # off the grid, past the horizon or not a position hint: built alone
+        return position_hint_strategy(r, hint, horizon) if i is None else row(i)
+
     return HintedStrategy(
         family="position",
         horizon=horizon,
         r=float(r),
-        select=lambda hint: _position_member(anchors, powers, hint),
+        select=select,
         hint_space=hint_space,
         true_hint_of=position_true_hint,
         trusted_costs=_position_trusted_costs(anchors, powers),
@@ -240,11 +253,12 @@ def direction_family(
     b, delta = _direction_params(b, delta, horizon)
     lengths = np.power(b, np.arange(horizon, dtype=float))
     lengths[1::2] *= delta
+    row = _alternating_rows(np.broadcast_to(lengths, (2, horizon)), (0, 1))
 
     def select(hint) -> Strategy:
         if not isinstance(hint, DirectionHint):
             raise ValueError(f"direction family needs a DirectionHint, got {hint!r}")
-        return strategy_from_lengths(lengths, hint.branch)
+        return row(hint.branch)
 
     return HintedStrategy(
         family="direction",
@@ -267,14 +281,15 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     k = int(k)
     _check_overflow(a, horizon - 2.0**-k, f"r={r!r}, k={k} with horizon={horizon}")
     _check_size(2**k, horizon, f"k={k}", "--k or --horizon")
-    steps = np.arange(horizon, dtype=float)
+    lengths = np.arange(horizon, dtype=float) + np.arange(2**k)[:, None] / 2.0**k
+    row = _alternating_rows(np.power(a, lengths, out=lengths), [0] * 2**k)
 
     def select(hint) -> Strategy:
         if not isinstance(hint, BitStringHint):
             raise ValueError(f"k-bit family needs a BitStringHint, got {hint!r}")
         if hint.k != k:
             raise ValueError(f"hint has k={hint.k}, family has k={k}")
-        return strategy_from_lengths(np.power(a, steps + hint.index / 2.0**k), 0)
+        return row(hint.index)
 
     return HintedStrategy(
         family="kbit",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,6 +68,26 @@ def _check_length(length: float) -> float:
     return value
 
 
+def _check_rows(lengths: np.ndarray, branches: np.ndarray) -> None:
+    """The strategy rule, each check run once over all rows: lengths finite
+    and > 0, branches 0 or 1, lengths two apart not shrinking."""
+    bad = ~(np.isfinite(lengths) & (lengths > 0.0))
+    if bad.any():
+        got = float(lengths.ravel()[np.argmax(bad)])
+        raise ValueError(f"segment length must be positive and finite, got {got!r}")
+    bad = (branches != 0) & (branches != 1)
+    if branches.dtype == bool or bad.any():
+        got = branches.ravel()[np.argmax(bad)].item()
+        raise ValueError(f"branch must be 0 or 1, got {got!r}")
+    shrunk = lengths[:, 2:] < lengths[:, :-2] * (1.0 - _REL_TOL)
+    if shrunk.any():
+        row, i = np.unravel_index(np.argmax(shrunk), shrunk.shape)
+        raise ValueError(
+            f"lengths[{i + 2}]={float(lengths[row, i + 2])} < lengths[{i}]="
+            f"{float(lengths[row, i])}: every other segment must not shrink"
+        )
+
+
 class Strategy:
     """A finite prefix of search iterations, held as two read-only arrays:
     ``lengths`` (float64, finite and > 0) and ``branches`` (int64, 0 or 1),
@@ -85,28 +105,12 @@ class Strategy:
             raise ValueError("lengths and branches must be 1-D and of one size")
         if lengths.size == 0:
             raise ValueError("strategy needs at least one segment")
-        bad = ~(np.isfinite(lengths) & (lengths > 0.0))
-        if bad.any():
-            got = float(lengths[np.argmax(bad)])
-            raise ValueError(
-                f"segment length must be positive and finite, got {got!r}"
-            )
-        bad = (branches != 0) & (branches != 1)
-        if branches.dtype == bool or bad.any():
-            got = branches[np.argmax(bad)].item()
-            raise ValueError(f"branch must be 0 or 1, got {got!r}")
+        _check_rows(lengths[None], branches[None])
         if not isinstance(given, np.ndarray):
             # numpy reads a list mixing ints and bools as ints
             for branch in given:
                 if isinstance(branch, (bool, np.bool_)):
                     raise ValueError(f"branch must be 0 or 1, got {bool(branch)!r}")
-        shrunk = lengths[2:] < lengths[:-2] * (1.0 - _REL_TOL)
-        if shrunk.any():
-            i = int(np.argmax(shrunk))
-            raise ValueError(
-                f"lengths[{i + 2}]={float(lengths[i + 2])} < lengths[{i}]="
-                f"{float(lengths[i])}: every other segment must not shrink"
-            )
         branches = branches.astype(np.int64)
         lengths.flags.writeable = False
         branches.flags.writeable = False
@@ -154,6 +158,25 @@ def strategy_from_lengths(
     lengths = np.asarray(lengths, dtype=float)
     branches = (first + np.arange(lengths.size)) % 2
     return Strategy(lengths, branches)
+
+
+def _alternating_rows(lengths: np.ndarray, first_branches) -> Callable[[int], Strategy]:
+    """Alternating-branch strategies, one per row of ``lengths`` (taken over,
+    not copied), row i starting on first_branches[i], checked in one pass.
+    Returns row(i): strategy i, its arrays read-only views of the record."""
+    patterns = np.arange(2)[:, None] + np.arange(lengths.shape[1])
+    patterns %= 2  # pattern b starts on branch b
+    _check_rows(lengths, patterns)
+    lengths.flags.writeable = False
+    patterns.flags.writeable = False
+
+    def row(i: int) -> Strategy:
+        strategy = object.__new__(Strategy)  # checked above: no copy, no check
+        object.__setattr__(strategy, "lengths", lengths[i])
+        object.__setattr__(strategy, "branches", patterns[first_branches[i]])
+        return strategy
+
+    return row
 
 
 def make_geometric(

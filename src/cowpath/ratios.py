@@ -19,6 +19,7 @@ from .hints import HintedStrategy, _check_size
 from .model import (
     Members,
     Strategy,
+    _alternating_rows,
     _shortest_reach,
     make_geometric,
     search_costs,
@@ -225,16 +226,25 @@ def random_alternating_strategies(
 ) -> list[Strategy]:
     """Seeded random geometric strategies: base in (1.5, 4], log-uniform scale
     in [0.25, 4], random first branch.  count x horizon is bounded like a
-    family's members x horizon, before any strategy is built."""
+    family's members x horizon, before any strategy is built.  The
+    strategies are the rows of one record, built in one broadcast."""
     _check_size(int(count), int(horizon), f"count={count}", "--count")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(int(count)):
-        base = 4.0 - rng.uniform(0.0, 2.5)
-        scale = float(np.exp(rng.uniform(math.log(0.25), math.log(4.0))))
-        first = int(rng.integers(0, 2))
-        out.append(make_geometric(base, horizon, first, scale))
-    return out
+    low, high = math.log(0.25), math.log(4.0)
+    draws = [
+        (4.0 - rng.uniform(0.0, 2.5), np.exp(rng.uniform(low, high)), rng.integers(2))
+        for _ in range(int(count))
+    ]
+    bases, scales, firsts = np.array(draws).reshape(-1, 3).T[:, :, None]
+    with np.errstate(over="ignore"):  # make_geometric names an overflow below
+        lengths = bases ** np.arange(int(horizon), dtype=float)
+        lengths *= scales
+    faulty = np.flatnonzero(~np.isfinite(lengths).all(axis=1) | (horizon < 1))
+    if faulty.size:  # make_geometric raises its own error for the first one
+        i = faulty[0]
+        make_geometric(bases[i, 0], horizon, int(firsts[i, 0]), scales[i, 0])
+    row = _alternating_rows(lengths, firsts[:, 0].astype(int))
+    return [row(i) for i in range(int(count))]
 
 
 def oracle_equivalence_gaps(

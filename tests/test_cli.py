@@ -531,6 +531,9 @@ class TestConfig:
             (["frontier", "--class", "position"], {"r": False}, "r"),
             (["partition"], {"r": None, "k": 1, "max": 4}, "r"),
             (["partition"], {"r": "abc", "k": 1, "max": 4}, "r"),
+            (["partition"], {"r": 9, "k": 1, "max": [4]}, "max"),
+            (["partition"], {"r": 9, "k": 1, "max": None}, "max"),
+            (["partition"], {"r": 9, "k": 1, "max": "abc"}, "max"),
         ],
     )
     def test_float_flags_reject_bools(self, capsys, tmp_path, argv, config, flag):
@@ -549,6 +552,14 @@ class TestConfig:
         code, out, _ = run(capsys, "partition", "--config", str(cfg))
         assert code == 0
         flags = ["--r", "9.5", "--k", "1", "--max", "4"]
+        assert out == run(capsys, "partition", *flags)[1]
+
+    def test_numeric_string_max(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 9, "k": 4, "max": "1e6"}))
+        code, out, _ = run(capsys, "partition", "--config", str(cfg))
+        assert code == 0
+        flags = ["--r", "9", "--k", "4", "--max", "1e6"]
         assert out == run(capsys, "partition", *flags)[1]
 
     @pytest.mark.parametrize("k", [3, 3.0, "3"])

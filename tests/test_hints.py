@@ -140,7 +140,7 @@ class TestDirectionHintStrategy:
         ],
     )
     def test_family_validates_before_any_member(self, monkeypatch, b, delta, message):
-        monkeypatch.setattr(hints, "strategy_from_lengths", None)  # never called
+        monkeypatch.setattr(hints, "_alternating_rows", None)  # never called
         with pytest.raises(ValueError) as info:
             direction_family(b, delta)
         assert str(info.value).startswith(message)
@@ -288,7 +288,7 @@ class TestSizeLimit:
     )
     def test_checked_before_any_member(self, monkeypatch, build, message):
         built = collections.Counter()
-        for name in ("strategy_from_lengths", "PositionHint"):
+        for name in ("_alternating_rows", "PositionHint"):
             original = getattr(hints, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -360,18 +360,21 @@ class TestPartition:
         with pytest.raises(HorizonTooShort):
             preferred_partition(9.0, 1, 1e30)
 
-    def test_builds_each_member_once(self, monkeypatch):
-        built = collections.Counter()
-        build = hints.strategy_from_lengths
+    def test_builds_its_member_record_once(self, monkeypatch):
+        records = []
+        build = hints._alternating_rows
 
-        def counting_build(lengths, first_branch):
-            # member j of the r = 9, k = 3 family starts at 2**(j/8)
-            built[round(8 * math.log2(lengths[0]))] += 1
-            return build(lengths, first_branch)
+        def counting_build(lengths, first_branches):
+            records.append((lengths, first_branches))
+            return build(lengths, first_branches)
 
-        monkeypatch.setattr(hints, "strategy_from_lengths", counting_build)
+        monkeypatch.setattr(hints, "_alternating_rows", counting_build)
         preferred_partition(9.0, 3, 1e4)
-        assert built == {j: 1 for j in range(8)}
+        assert len(records) == 1
+        lengths, first_branches = records[0]
+        # member j of the r = 9, k = 3 family starts at 2**(j/8), on branch 0
+        assert np.round(8 * np.log2(lengths[:, 0])).tolist() == list(range(8))
+        assert list(first_branches) == [0] * 8
 
     def test_interval_validation(self):
         with pytest.raises(ValueError, match="bad interval"):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cowpath import model
 from cowpath.bounds import base_for_robustness, rho, robust_base_interval
 from cowpath.model import (
     BitStringHint,
@@ -68,6 +69,18 @@ class TestStrategy:
             strategy_from_lengths([4.0, 1.0, 4.0 * (1.0 - 1e-8)])
         # a relative dip of 1e-12 is rounding, not shrinkage
         assert len(strategy_from_lengths([4.0, 1.0, 4.0 * (1.0 - 1e-12)])) == 3
+
+    def test_record_rows_keep_the_strategy_rule(self):
+        # each check runs once over every row, in the order Strategy runs them
+        rows = np.array([[1.0, 2.0, 3.0], [4.0, 1.0, 3.9], [1.0, math.inf, 1.0]])
+        with pytest.raises(ValueError, match=r"^lengths\[2\]=3.9 < lengths\[0\]=4.0"):
+            model._alternating_rows(rows[:2], np.array([0, 1]))
+        with pytest.raises(ValueError, match="positive and finite, got inf"):
+            model._alternating_rows(rows, np.array([0, 1, 0]))
+        row = model._alternating_rows(rows[:1], np.array([1]))
+        assert row(0) == Strategy([1.0, 2.0, 3.0], [1, 0, 1])
+        assert not row(0).lengths.flags.writeable
+        assert not row(0).branches.flags.writeable
 
     def test_two_apart_equal_allowed(self):
         s = strategy_from_lengths([2.0, 1.0, 2.0, 1.0])

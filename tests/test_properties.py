@@ -1,15 +1,20 @@
 """Randomized invariants: closed form vs measurement, scaling, extension,
 and every batched fast path against its scalar reference."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cowpath.bounds import (
+    HorizonTooShort,
     base_for_robustness,
     check_prefix_sum_bound,
     check_segment_growth_lemma,
+    kbit_base,
     robust_base_grid,
     robust_base_interval,
 )
@@ -41,6 +46,7 @@ from cowpath.ratios import (
     competitive_ratio_measured,
     competitive_ratio_terms,
     evaluate_hinted,
+    random_alternating_strategies,
     tail_converged,
 )
 
@@ -144,6 +150,68 @@ def test_position_member_trusts_its_hint(d, branch):
     cost = search_cost(member, Target(d, branch))
     assert cost is not None
     assert cost / d < 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(min_value=9.0, max_value=40.0, **finite),
+    k=st.integers(min_value=1, max_value=8),
+    b=st.floats(min_value=1.1, max_value=4.0, **finite),
+    delta=st.floats(min_value=0.01, max_value=1.0, **finite),
+    horizon=st.integers(min_value=1, max_value=80),
+    off_grid=st.floats(min_value=1.0, max_value=1e7, **finite),
+    branch=st.integers(min_value=0, max_value=1),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_member_records_match_the_per_member_rules(
+    r, k, b, delta, horizon, off_grid, branch, seed
+):
+    """Every row a family or the random draw builds in one broadcast equals
+    the member its old one-at-a-time rule built, written out here."""
+    steps = np.arange(horizon, dtype=float)
+
+    def check(member, lengths, first):
+        assert np.array_equal(member.lengths, lengths)
+        assert np.array_equal(member.branches, (first + np.arange(horizon)) % 2)
+        assert member.branches.dtype == np.int64
+
+    family = kbit_family(r, k, horizon)
+    a = kbit_base(r, k)
+    for hint in family.hint_space:
+        check(family.select(hint), np.power(a, steps + hint.index / 2.0**k), 0)
+
+    family = direction_family(b, delta, horizon)
+    lengths = np.power(b, steps)
+    lengths[1::2] *= delta
+    for hint in family.hint_space:
+        check(family.select(hint), lengths, hint.branch)
+
+    family = position_family(r, horizon, hints_per_decade=4)
+    base = base_for_robustness(r)
+    anchors = np.array([base**j for j in range(horizon)])
+    for hint in (*family.hint_space, PositionHint(off_grid, branch)):
+        j = int(np.searchsorted(anchors, hint.distance, side="left"))
+        if j == horizon:
+            message = (
+                f"hint distance {hint.distance!r} lies past horizon {horizon}: "
+                f"the farthest anchor is {anchors[-1]:.6g}"
+            )
+            with pytest.raises(HorizonTooShort, match=f"^{re.escape(message)}$"):
+                family.select(hint)
+            with pytest.raises(HorizonTooShort, match=f"^{re.escape(message)}$"):
+                position_hint_strategy(r, hint, horizon)
+            continue
+        lengths = np.power(base, steps) / (anchors[j] / hint.distance)
+        lengths[j] = hint.distance
+        first = hint.branch if j % 2 == 0 else 1 - hint.branch
+        check(family.select(hint), lengths, first)
+        check(position_hint_strategy(r, hint, horizon), lengths, first)
+
+    rng = np.random.default_rng(seed)
+    for member in random_alternating_strategies(5, seed, horizon):
+        base = 4.0 - rng.uniform(0.0, 2.5)
+        scale = float(np.exp(rng.uniform(math.log(0.25), math.log(4.0))))
+        check(member, scale * np.power(base, steps), int(rng.integers(0, 2)))
 
 
 @st.composite

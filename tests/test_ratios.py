@@ -9,7 +9,10 @@ import pytest
 
 from cowpath import hints, ratios
 from cowpath.model import (
+    BitStringHint,
+    DirectionHint,
     Members,
+    PositionHint,
     Strategy,
     Target,
     make_geometric,
@@ -266,6 +269,55 @@ def test_each_evaluation_stacks_its_members_once(monkeypatch, evaluate):
     assert len(built) == 1
 
 
+def test_members_are_not_rebuilt_after_the_family(monkeypatch):
+    families = [hints.kbit_family(9.0, 8), position_family(9.0, hints_per_decade=8)]
+    built = []
+    original = Strategy.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Strategy, "__init__", counting_init)
+    for family in families:
+        evaluate_hinted(family)
+        assert not built
+    oracle_equivalence_gaps(200)
+    assert not built
+
+
+@pytest.mark.parametrize(
+    "family,wrong,message",
+    [
+        (lambda: position_family(9.0, hints_per_decade=8), DirectionHint(0),
+         "position family needs a PositionHint, got DirectionHint(branch=0)"),
+        (lambda: position_family(9.0, hints_per_decade=8), [1.0, 0],
+         "position family needs a PositionHint, got [1.0, 0]"),
+        (lambda: direction_family(2.0, 0.5), PositionHint(1.0, 0),
+         "direction family needs a DirectionHint, got "
+         "PositionHint(distance=1.0, branch=0)"),
+        (lambda: hints.kbit_family(9.0, 3), DirectionHint(1),
+         "k-bit family needs a BitStringHint, got DirectionHint(branch=1)"),
+        (lambda: hints.kbit_family(9.0, 3), BitStringHint(1, 2),
+         "hint has k=2, family has k=3"),
+    ],
+    ids=["position", "position-unhashable", "direction", "kbit", "kbit-k"],
+)
+def test_select_returns_read_only_rows(family, wrong, message):
+    family = family()
+    for hint in family.hint_space[:3]:
+        member, again = family.select(hint), family.select(hint)
+        assert member.lengths.base is not None  # a view of the family's record
+        assert member.lengths.base is again.lengths.base
+        with pytest.raises(ValueError, match="read-only"):
+            member.lengths[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            member.branches[0] = 1
+    with pytest.raises(ValueError) as info:
+        family.select(wrong)
+    assert str(info.value) == message
+
+
 class TestOracleEquivalence:
     def test_seeded_strategies_deterministic(self):
         a = random_alternating_strategies(5, seed=42)
@@ -292,3 +344,18 @@ class TestOracleEquivalence:
             with pytest.raises(ValueError, match="count=3 with horizon=64") as info:
                 draw(3)
             assert "(lower --count)" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "horizon,message",
+        [
+            (0, "count must be >= 1, got 0"),
+            (600, "the longest length 2.3834988953845584 * 3.958680911178677**599 "
+                  "overflows the float range"),
+        ],
+    )
+    def test_faulty_rows_raise_the_geometric_errors(self, horizon, message):
+        # make_geometric's own errors, for the first row it would reject
+        with pytest.raises(ValueError) as info:
+            random_alternating_strategies(2, 0, horizon)
+        assert str(info.value) == message
+        assert random_alternating_strategies(0, 0, 0) == []
