@@ -7,13 +7,14 @@ the direction frontier included.
 This module is the package's numpy-free layer: it imports only the
 standard library, so `cowpath --help`, usage errors and `cowpath frontier`
 never load numpy.  The scalar pieces the other modules share (the robust
-base interval, the k-bit base, the parameter checks, TradeoffPoint) live
-here for that reason.
+base interval, the k-bit base, the parameter checks, the admission rule
+of member records, TradeoffPoint) live here for that reason.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, count
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
@@ -57,14 +58,6 @@ class HorizonTooShort(Exception):
     """A required target lies beyond every candidate's finite segment prefix."""
 
 
-def _pow(base: float, exponent: float) -> float:
-    """base**exponent, or inf where it leaves the float range."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
-
-
 def rho(r: float) -> float:
     """Half the allowed overhead, (r - 1) / 2; defined for r >= 9."""
     r = float(r)
@@ -92,24 +85,61 @@ def robust_base_interval(r: float) -> tuple[float, float]:
     return (p / hi, hi)
 
 
-def _check_overflow(base: float, exponent: float, params: str) -> None:
-    """Reject parameters whose longest member length base**exponent leaves
-    the float range, before any array is built."""
-    if not math.isfinite(_pow(base, exponent)):
+# Bound on rows x horizon, the segments the batched kernels stack (about 220
+# bytes each at peak, so about 230 MB at the bound), and so on the horizon.
+_MAX_SEGMENTS = 2**20
+
+# ln of the largest float, less a relative 1e-9 that covers the rounding of
+# the lengths and of their running sums: a walk below it stays finite.
+_LOG_MAX_WALK = math.log(sys.float_info.max) - 1e-9
+
+
+def _admit(
+    rows: int,
+    horizon: int,
+    first: float,
+    base: float,
+    params: str,
+    lower: str,
+    name: str = "horizon",
+) -> int:
+    """The one admission rule of a record of ``rows`` members of ``horizon``
+    segments, each length at most first * base**i (base > 1), checked in
+    order before any array: 1 <= horizon <= _MAX_SEGMENTS; the walk
+    2 * (sum of lengths), which bounds every cost and ratio, is finite; rows x
+    horizon <= _MAX_SEGMENTS.  Errors quote ``params``, the horizon as
+    ``name`` and the flag(s) to ``lower``.  Returns the horizon as an int."""
+    horizon = int(horizon)
+    if horizon < 1:
+        raise ValueError(f"{name} must be >= 1, got {horizon!r}")
+    if horizon > _MAX_SEGMENTS:
         raise ValueError(
-            f"{params} overflows the float range: member lengths reach "
-            f"{base:.6g}**{exponent:.10g}"
+            f"{name} must be <= {_MAX_SEGMENTS}, got {horizon!r} (lower {lower})"
         )
+    # ln of 2 * first * base**(horizon - 1) * (1 + 1/base + .. + 1/base**(horizon - 1))
+    step = math.log(base)
+    tail = math.expm1(-horizon * step) / math.expm1(-step)  # in [1, horizon]
+    log_walk = math.log(2.0 * first) + (horizon - 1) * step + math.log(tail)
+    if log_walk > _LOG_MAX_WALK:
+        raise ValueError(
+            f"{params} with {name}={horizon} overflows the float range: the walk "
+            f"2 * (sum of lengths) reaches about 10**{log_walk / math.log(10):.1f}"
+        )
+    if rows * horizon > _MAX_SEGMENTS:
+        raise ValueError(
+            f"{params} with {name}={horizon} needs {rows} members x {horizon} "
+            f"segments, over the limit of {_MAX_SEGMENTS} segments (lower {lower})"
+        )
+    return horizon
 
 
-def _direction_params(b: float, delta: float, horizon: int = 1) -> tuple[float, float]:
-    """Checked floats b > 1 and delta in (0, 1], with b**(horizon - 1) finite."""
+def _direction_params(b: float, delta: float) -> tuple[float, float]:
+    """Checked floats b > 1 and delta in (0, 1]."""
     b, delta = float(b), float(delta)
     if not math.isfinite(b) or b <= 1.0:
         raise ValueError(f"b must be > 1, got {b!r}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta!r}")
-    _check_overflow(b, horizon - 1, f"b={b!r} with horizon={horizon}")
     return b, delta
 
 

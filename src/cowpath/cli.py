@@ -88,10 +88,11 @@ def _print_strategy_report(strategy) -> None:
     from .ratios import _tails_converged, _terms, competitive_ratio_measured
 
     terms = _terms(Members.stack(strategy))
+    measured = competitive_ratio_measured(strategy)  # may raise: print nothing
     # per parity, the rule evaluate_hinted applies to every member
     suffix = " (converged)" if _tails_converged(terms)[0] else ""
     print(f"cr={float(terms.max()):.6f}{suffix}")
-    print(f"cr_measured={competitive_ratio_measured(strategy):.6f}")
+    print(f"cr_measured={measured:.6f}")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -201,16 +202,16 @@ def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .hints import _check_size
     from .model import strategy_from_lengths
 
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    oracle = None
     if args.suite in ("oracle", "all"):
-        # before any suite runs, with the message the oracle suite would give
-        _check_size(args.count, DEFAULT_HORIZON, f"count={args.count}", "--count")
+        # first: its strategies' admission rejects --count before any sweep
+        oracle = _verify_oracle(args.count, args.seed)
     checks = []
     if args.suite in ("lemma", "all"):
         ok, detail = _verify_sweep("lemma", growth_lemma_sweep)
@@ -220,8 +221,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.append((ok and flagged, detail))
     if args.suite in ("corollary", "all"):
         checks.append(_verify_sweep("corollary", prefix_bound_sweep))
-    if args.suite in ("oracle", "all"):
-        checks.append(_verify_oracle(args.count, args.seed))
+    if oracle is not None:
+        checks.append(oracle)
     for _, detail in checks:
         print(detail)
     ok = all(passed for passed, _ in checks)

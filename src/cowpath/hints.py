@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import (
     DEFAULT_HORIZON,
     HorizonTooShort,
-    _check_overflow,
+    _admit,
     _direction_params,
     base_for_robustness,
     kbit_base,
@@ -101,39 +101,14 @@ class HintedStrategy:
     ] = field(default=cheapest_trusted_costs, compare=False)
 
 
-# Bound on members x horizon, the number of segments the batched kernels
-# stack (about 220 bytes each at peak, so about 230 MB at the bound), and so
-# also on the horizon.  Both are checked before any hint, member or array is
-# built.
-_MAX_SEGMENTS = 2**20
-
-
-def _check_horizon(horizon: int) -> int:
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon!r}")
-    if horizon > _MAX_SEGMENTS:
-        raise ValueError(
-            f"horizon must be <= {_MAX_SEGMENTS}, got {horizon!r} (lower --horizon)"
-        )
-    return horizon
-
-
-def _check_size(members: int, horizon: int, params: str, flags: str) -> None:
-    """Reject a family whose members x horizon segments pass _MAX_SEGMENTS."""
-    if members * horizon > _MAX_SEGMENTS:
-        raise ValueError(
-            f"{params} with horizon={horizon} needs {members} members x "
-            f"{horizon} segments, over the limit of {_MAX_SEGMENTS} segments "
-            f"(lower {flags})"
-        )
-
-
-def _position_geometry(r: float, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+def _position_geometry(
+    r: float, horizon: int, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Anchors b_r**j (Python powers) and np.power lengths of the unshrunk
-    position member, checked so b_r**(horizon - 1) stays finite."""
+    position member, once a record of ``rows`` members is admitted: every
+    member's lengths are at most b_r**i."""
     base = base_for_robustness(r)
-    _check_overflow(base, horizon - 1, f"r={r!r} with horizon={horizon}")
+    horizon = _admit(rows, horizon, 1.0, base, f"r={r!r}", "--horizon")
     anchors = np.array([base**j for j in range(horizon)])
     return anchors, np.power(base, np.arange(horizon, dtype=float))
 
@@ -156,7 +131,7 @@ def position_hint_strategy(
     """Geometric base-b_r strategy shrunk so that its anchor turn point j
     lands exactly on the hinted position, with segment j searching the hinted
     branch."""
-    anchors, powers = _position_geometry(r, _check_horizon(horizon))
+    anchors, powers = _position_geometry(r, horizon, 1)
     if not isinstance(hint, PositionHint):
         raise ValueError(f"position family needs a PositionHint, got {hint!r}")
     if hint.distance > anchors[-1]:
@@ -200,13 +175,12 @@ def position_family(
 ) -> HintedStrategy:
     """Position-hint family with a log-spaced hint grid standing in for the
     continuous hint space."""
-    horizon = _check_horizon(horizon)
     if max_hint_distance < 1.0:
         raise ValueError("max_hint_distance must be >= 1")
     decades = math.log10(max_hint_distance)
     count = max(2, int(round(decades * hints_per_decade)) + 1)
-    _check_size(2 * count, horizon, f"r={r!r}", "--horizon")
-    anchors, powers = _position_geometry(r, horizon)
+    anchors, powers = _position_geometry(r, horizon, 2 * count)
+    horizon = anchors.size
     distances = np.logspace(0.0, decades, count).tolist()
     hint_space = tuple(PositionHint(d, b) for b in (0, 1) for d in distances)
     # Grid hints past the horizon get no member: select raises for them.
@@ -248,9 +222,8 @@ def direction_family(
     b: float, delta: float, horizon: int = DEFAULT_HORIZON
 ) -> HintedStrategy:
     """Direction-hint family: one member per branch."""
-    horizon = _check_horizon(horizon)
-    _check_size(2, horizon, f"b={b!r}", "--horizon")
-    b, delta = _direction_params(b, delta, horizon)
+    b, delta = _direction_params(b, delta)
+    horizon = _admit(2, horizon, 1.0, b, f"b={b!r}", "--horizon")
     lengths = np.power(b, np.arange(horizon, dtype=float))
     lengths[1::2] *= delta
     row = _alternating_rows(np.broadcast_to(lengths, (2, horizon)), (0, 1))
@@ -276,11 +249,12 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     """k-bit family: 2**k phase-shifted members; the correct hint is the
     index of the member that finds the target cheapest (the default
     ``trusted_costs`` rule)."""
-    horizon = _check_horizon(horizon)
     a = kbit_base(r, k)
     k = int(k)
-    _check_overflow(a, horizon - 2.0**-k, f"r={r!r}, k={k} with horizon={horizon}")
-    _check_size(2**k, horizon, f"k={k}", "--k or --horizon")
+    # member j's lengths a**(i + j/2**k) are at most a**(1 - 2**-k) * a**i
+    horizon = _admit(
+        2**k, horizon, a ** (1.0 - 2.0**-k), a, f"r={r!r}, k={k}", "--k or --horizon"
+    )
     lengths = np.arange(horizon, dtype=float) + np.arange(2**k)[:, None] / 2.0**k
     row = _alternating_rows(np.power(a, lengths, out=lengths), [0] * 2**k)
 

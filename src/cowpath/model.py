@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import _pow
+from .bounds import _admit
 
 __all__ = [
     "Strategy",
@@ -70,7 +70,8 @@ def _check_length(length: float) -> float:
 
 def _check_rows(lengths: np.ndarray, branches: np.ndarray) -> None:
     """The strategy rule, each check run once over all rows: lengths finite
-    and > 0, branches 0 or 1, lengths two apart not shrinking."""
+    and > 0, branches 0 or 1, lengths two apart not shrinking, and the walk
+    2 * (sum of lengths) finite, as _admit bounds it for built records."""
     bad = ~(np.isfinite(lengths) & (lengths > 0.0))
     if bad.any():
         got = float(lengths.ravel()[np.argmax(bad)])
@@ -86,6 +87,10 @@ def _check_rows(lengths: np.ndarray, branches: np.ndarray) -> None:
             f"lengths[{i + 2}]={float(lengths[row, i + 2])} < lengths[{i}]="
             f"{float(lengths[row, i])}: every other segment must not shrink"
         )
+    with np.errstate(over="ignore"):  # the running sums every kernel builds
+        walk = 2.0 * np.cumsum(lengths, axis=1)[:, -1:]
+    if not np.isfinite(walk).all():
+        raise ValueError("the walk 2 * (sum of lengths) overflows the float range")
 
 
 class Strategy:
@@ -192,14 +197,9 @@ def make_geometric(
         raise ValueError(f"base must be > 1, got {base!r}")
     if not math.isfinite(scale) or scale <= 0.0:
         raise ValueError(f"scale must be > 0, got {scale!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    if not math.isfinite(scale * _pow(base, count - 1)):
-        raise ValueError(
-            f"the longest length {scale!r} * {base!r}**{count - 1} overflows "
-            "the float range"
-        )
-    lengths = scale * np.power(base, np.arange(int(count), dtype=float))
+    params = f"base={base!r}, scale={scale!r}"
+    count = _admit(1, count, scale, base, params, "count", "count")
+    lengths = scale * np.power(base, np.arange(count, dtype=float))
     return strategy_from_lengths(lengths, first_branch)
 
 

@@ -14,16 +14,9 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .bounds import DEFAULT_HORIZON, HorizonTooShort, TradeoffPoint
-from .hints import HintedStrategy, _check_size
-from .model import (
-    Members,
-    Strategy,
-    _alternating_rows,
-    _shortest_reach,
-    make_geometric,
-    search_costs,
-)
+from .bounds import DEFAULT_HORIZON, HorizonTooShort, TradeoffPoint, _admit
+from .hints import HintedStrategy
+from .model import Members, Strategy, _alternating_rows, _shortest_reach, search_costs
 
 __all__ = [
     "TargetGrid",
@@ -225,10 +218,11 @@ def random_alternating_strategies(
     count: int = 200, seed: int = 0, horizon: int = DEFAULT_HORIZON
 ) -> list[Strategy]:
     """Seeded random geometric strategies: base in (1.5, 4], log-uniform scale
-    in [0.25, 4], random first branch.  count x horizon is bounded like a
-    family's members x horizon, before any strategy is built.  The
-    strategies are the rows of one record, built in one broadcast."""
-    _check_size(int(count), int(horizon), f"count={count}", "--count")
+    in [0.25, 4], random first branch.  Every length is at most 4 * 4**i,
+    the envelope the record is admitted by (so horizon <= 511), before any
+    strategy is built.  The strategies are the rows of one record, built in
+    one broadcast."""
+    horizon = _admit(int(count), horizon, 4.0, 4.0, f"count={count}", "--count")
     rng = np.random.default_rng(seed)
     low, high = math.log(0.25), math.log(4.0)
     draws = [
@@ -236,13 +230,8 @@ def random_alternating_strategies(
         for _ in range(int(count))
     ]
     bases, scales, firsts = np.array(draws).reshape(-1, 3).T[:, :, None]
-    with np.errstate(over="ignore"):  # make_geometric names an overflow below
-        lengths = bases ** np.arange(int(horizon), dtype=float)
-        lengths *= scales
-    faulty = np.flatnonzero(~np.isfinite(lengths).all(axis=1) | (horizon < 1))
-    if faulty.size:  # make_geometric raises its own error for the first one
-        i = faulty[0]
-        make_geometric(bases[i, 0], horizon, int(firsts[i, 0]), scales[i, 0])
+    lengths = bases ** np.arange(horizon, dtype=float)
+    lengths *= scales
     row = _alternating_rows(lengths, firsts[:, 0].astype(int))
     return [row(i) for i in range(int(count))]
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cowpath import cli, hints, ratios
+from cowpath import bounds, cli, ratios
 from cowpath.cli import main
 from cowpath.hints import direction_family
 from cowpath.model import DirectionHint, strategy_to_json
@@ -176,8 +176,27 @@ class TestEval:
                 ("--family", "position", "--r-params", "r=1e9"),
                 "r=1000000000.0 with horizon=64",
             ),
+            # the longest length fits, the walk 2 * (sum of lengths) does not
+            (
+                ("--family", "direction", "--r-params", "b=2,delta=1",
+                 "--horizon", "1024"),
+                "b=2.0 with horizon=1024",
+            ),
+            (
+                ("--family", "kbit", "--r-params", "r=9,k=1", "--horizon", "1024"),
+                "r=9.0, k=1 with horizon=1024",
+            ),
+            (
+                ("--family", "direction", "--r-params", "b=78000,delta=1"),
+                "b=78000.0 with horizon=64",
+            ),
+            (("--geometric", "b=78000"), "b=78000, n=64"),
+            (("--json", json.dumps({"segments": [
+                {"length": 1e308, "branch": i % 2} for i in range(3)
+            ]})), "error: the walk 2 * (sum of lengths)"),
         ],
-        ids=["geometric", "position"],
+        ids=["geometric", "position", "direction-walk", "kbit-walk",
+             "direction-base", "geometric-base", "json-walk"],
     )
     def test_overflow_rejected_without_warning(self, capsys, argv, names):
         with warnings.catch_warnings(record=True) as caught:
@@ -185,7 +204,48 @@ class TestEval:
             code, out, err = run(capsys, "eval", *argv)
         assert code == 2 and out == ""
         assert names in err and "overflows the float range" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert caught == [] and "Warning" not in err
+
+    def test_walk_just_inside_the_float_range(self, capsys):
+        code, out, err = run(capsys, "eval", "--geometric", "b=77000")
+        assert code == 0 and err == ""
+        assert out == "cr=154003.000026 (converged)\ncr_measured=154003.000026\n"
+
+    def test_geometric_count_bounded_before_any_array(self):
+        # 10**9 segments near base 1 keep every length finite; the segment
+        # budget rejects them before numpy allocates 8 GB (capped here at 4 GB)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, 4 * 10**9))\n"
+            "from cowpath.cli import main\n"
+            "sys.exit(main(['eval', '--geometric', 'b=1.0000000000000002', 'n=1e9']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == (
+            "error: --geometric b=1, n=1000000000: count must be <= 1048576, "
+            "got 1000000000 (lower count)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--geometric", "b=2", "scale=1e-300"),
+            ("--json", json.dumps({"segments": [
+                {"length": 0.5, "branch": 0}, {"length": 0.5, "branch": 1}
+            ]})),
+        ],
+        ids=["geometric", "json"],
+    )
+    def test_failed_report_prints_nothing(self, capsys, argv):
+        # every length is below 1: the prefix finds no target
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: empty effective grid: the prefix finds no grid target\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--file", str(tmp_path / "nope.json"))
@@ -229,7 +289,7 @@ class TestEval:
     )
     def test_size_limit_exits_2(self, capsys, monkeypatch, argv, flag):
         # the limit is checked before any hint or member is built
-        monkeypatch.setattr(hints, "_MAX_SEGMENTS", 128)
+        monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "limit of 128 segments" in err or "horizon must be <= 128" in err
@@ -395,10 +455,11 @@ class TestVerify:
         def no_work(*args, **kwargs):
             raise AssertionError("a suite ran")
 
-        # the count is checked before any suite runs
+        # the oracle suite runs first: its strategies' admission rejects the
+        # count before any sweep runs or any strategy is built
         for module, name in (
             (cli, "growth_lemma_sweep"), (cli, "prefix_bound_sweep"),
-            (ratios, "oracle_equivalence_gaps"),
+            (ratios, "_alternating_rows"),
         ):
             monkeypatch.setattr(module, name, no_work)
         for suite in ("oracle", "all"):
@@ -648,16 +709,20 @@ class TestTopLevel:
 
 
 # Values a user may type; the fuzz test draws every number from this menu.
-_MENU = ("nan", "inf", "-1", "0", "1", "2.7", "9", "1e200", "1e308")
+_MENU = ("nan", "inf", "-1", "0", "1", "2.7", "9", "78000", "1e-300", "1e200", "1e308")
 _FAMILY_FIELDS = {"position": ("r",), "direction": ("b", "delta"), "kbit": ("r", "k")}
 
 
 @st.composite
 def _cli_argv(draw):
     value = st.sampled_from(_MENU)
-    command = draw(
-        st.sampled_from([*_FAMILY_FIELDS, "partition", "frontier", "verify"])
-    )
+    command = draw(st.sampled_from(
+        [*_FAMILY_FIELDS, "geometric", "partition", "frontier", "verify"]
+    ))
+    if command == "geometric":
+        names = draw(st.lists(st.sampled_from(("b", "n", "scale", "first")),
+                              unique=True))
+        return ["eval", "--geometric", *(f"{name}={draw(value)}" for name in names)]
     if command == "verify":
         suite = draw(st.sampled_from(("lemma", "corollary", "oracle", "all")))
         argv = ["verify", suite]
@@ -683,7 +748,9 @@ def _cli_argv(draw):
         ))
         pairs = ",".join(f"{name}={draw(value)}" for name in names)
         argv = ["eval", "--family", command, "--r-params", pairs]
-    horizon = draw(st.sampled_from((None, "-1", "0", "1", "2", "2.7", "9", "64")))
+    horizon = draw(
+        st.sampled_from((None, "-1", "0", "1", "2", "2.7", "9", "64", "1024"))
+    )
     return argv if horizon is None else [*argv, "--horizon", horizon]
 
 
@@ -692,14 +759,17 @@ class TestFuzz:
     @given(argv=_cli_argv())
     @example(argv=["frontier", "--class", "position", "--r", "1e308", "--k", "1"])
     @example(argv=["frontier", "--class", "all", "--r", "1e200", "--k", "3"])
+    @example(argv=["eval", "--geometric", "b=78000"])  # the walk overflows
+    @example(argv=["eval", "--geometric", "b=2.7", "scale=1e-300"])  # no target
     def test_exit_codes_and_messages(self, argv):
-        # a small segment limit keeps every family that passes the up-front
-        # checks small; the horizon never exceeds 64
+        # a small segment limit keeps every record that passes the admission
+        # small; a RuntimeWarning fails the test (the suite's warning filter)
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(hints, "_MAX_SEGMENTS", 2**12), \
+        with mock.patch.object(bounds, "_MAX_SEGMENTS", 2**12), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 2, 3)
         if code != 0:
             assert err.getvalue().startswith(("error:", "usage:"))
+            assert out.getvalue() == ""
         assert "nan" not in out.getvalue().lower()

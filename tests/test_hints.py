@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cowpath import hints
+from cowpath import bounds, hints
 from cowpath.hints import (
     LabeledInterval,
     LinePartition,
@@ -296,14 +296,14 @@ class TestSizeLimit:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(hints, name, counting)
-        monkeypatch.setattr(hints, "_MAX_SEGMENTS", 128)
+        monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
         with pytest.raises(ValueError, match="segments|horizon must be") as info:
             build()
         assert message in str(info.value)
         assert not built
 
     def test_at_the_limit_fits(self, monkeypatch):
-        monkeypatch.setattr(hints, "_MAX_SEGMENTS", 128)
+        monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
         assert len(kbit_family(9.0, 1).hint_space) == 2
         assert preferred_partition(9.0, 1, 10.0).branch0
         assert direction_family(2.0, 1.0, 64).horizon == 64

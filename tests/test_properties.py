@@ -1,8 +1,11 @@
 """Randomized invariants: closed form vs measurement, scaling, extension,
 and every batched fast path against its scalar reference."""
 
+import decimal
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -535,3 +538,55 @@ def test_pure_python_checks_match_numpy(s, r, points):
         assert report.margins == tuple(margins.tolist())
         bad = np.nonzero(margins > tolerance)[0]
         assert report.violation_index == (int(bad[0]) if bad.size else None)
+
+
+def _walk_over_float_max(base, scale, horizon):
+    """2 * scale * (base**0 + .. + base**(horizon - 1)) over the largest
+    float, in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        b = decimal.Decimal(base)
+        walk = 2 * decimal.Decimal(scale) * (b**horizon - 1) / (b - 1)
+        return float(walk / decimal.Decimal(sys.float_info.max))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.floats(min_value=1.0, max_value=1e6, exclude_min=True, **finite),
+    scale=st.floats(min_value=2.0**-20, max_value=2.0**20, **finite),
+    horizon=st.integers(min_value=1, max_value=2048),
+)
+@example(base=77000.0, scale=1.0, horizon=64)  # the walk just fits
+@example(base=78000.0, scale=1.0, horizon=64)  # b**63 fits, the walk does not
+def test_admitted_records_score_finite(base, scale, horizon):
+    # admitted exactly when the walk fits (the admission keeps a relative
+    # 1e-9 below the largest float for rounding); whatever is admitted
+    # scores finite, without a RuntimeWarning
+    over = _walk_over_float_max(base, scale, horizon)
+    unit_over = _walk_over_float_max(base, 1.0, horizon)
+    assume(abs(over - 1.0) > 1e-8 and abs(unit_over - 1.0) > 1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = make_geometric(base, horizon, scale=scale)
+        except ValueError as exc:
+            assert over > 1.0
+            assert str(exc).startswith(
+                f"base={base!r}, scale={scale!r} with count={horizon} overflows"
+            )
+        else:
+            assert over < 1.0
+            assert math.isfinite(competitive_ratio(s))
+            if s.lengths[-1] >= 1.0:  # else the prefix finds no target
+                assert math.isfinite(competitive_ratio_measured(s))
+        try:
+            family = direction_family(base, 1.0, horizon)
+        except ValueError as exc:
+            assert unit_over > 1.0
+            assert str(exc).startswith(f"b={base!r} with horizon={horizon} overflows")
+        else:
+            assert unit_over < 1.0
+            if horizon >= 2:  # one segment reaches only one branch
+                point = evaluate_hinted(family)
+                assert math.isfinite(point.consistency)
+                assert math.isfinite(point.robustness)

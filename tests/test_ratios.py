@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cowpath import hints, ratios
+from cowpath import bounds, hints
 from cowpath.model import (
     BitStringHint,
     DirectionHint,
@@ -337,9 +337,8 @@ class TestOracleEquivalence:
         assert float(np.max(oracle_equivalence_gaps(200, 0))) <= 1e-10
 
     def test_count_bounded_before_any_strategy(self, monkeypatch):
-        monkeypatch.setattr(hints, "_MAX_SEGMENTS", 128)
+        monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
         assert len(random_alternating_strategies(2)) == 2  # 2 x 64 fits
-        monkeypatch.setattr(ratios, "make_geometric", None)  # never called
         for draw in (random_alternating_strategies, oracle_equivalence_gaps):
             with pytest.raises(ValueError, match="count=3 with horizon=64") as info:
                 draw(3)
@@ -348,14 +347,17 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize(
         "horizon,message",
         [
-            (0, "count must be >= 1, got 0"),
-            (600, "the longest length 2.3834988953845584 * 3.958680911178677**599 "
-                  "overflows the float range"),
+            (0, "horizon must be >= 1, got 0"),
+            (512, "count=2 with horizon=512 overflows the float range: the walk "
+                  "2 * (sum of lengths) reaches about 10**308.7"),
         ],
+        ids=["horizon-0", "horizon-512"],
     )
-    def test_faulty_rows_raise_the_geometric_errors(self, horizon, message):
-        # make_geometric's own errors, for the first row it would reject
+    def test_faulty_horizons_raise_the_admission_errors(self, horizon, message):
+        # the envelope 4 * 4**i of every draw admits horizons up to 511
         with pytest.raises(ValueError) as info:
             random_alternating_strategies(2, 0, horizon)
         assert str(info.value) == message
-        assert random_alternating_strategies(0, 0, 0) == []
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            random_alternating_strategies(0, 0, 0)
+        assert len(random_alternating_strategies(2, 0, 511)) == 2
