@@ -168,9 +168,9 @@ _METHODS = ("closed_form", "measured")
 class TradeoffPoint:
     """A (consistency, robustness) pair with its evaluation method.
 
-    ``converged`` reports whether the last five ratio terms of each parity
-    sat within 1e-6 of their maximum (finite prefixes only approach the true
-    suprema).
+    ``converged`` reports whether, on each branch, the last five cell ratios
+    sat within 1e-6 of that branch's largest (finite prefixes only approach
+    the true suprema).
     """
 
     consistency: float

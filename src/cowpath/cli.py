@@ -84,14 +84,16 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _print_strategy_report(strategy) -> None:
-    from .model import Members
-    from .ratios import _tails_converged, _terms, competitive_ratio_measured
+    import numpy as np
 
-    terms = _terms(Members.stack(strategy))
+    from .model import Members
+    from .ratios import _cells, competitive_ratio_measured
+
+    cells, settled = _cells(Members.stack(strategy))
     measured = competitive_ratio_measured(strategy)  # may raise: print nothing
-    # per parity, the rule evaluate_hinted applies to every member
-    suffix = " (converged)" if _tails_converged(terms)[0] else ""
-    print(f"cr={float(terms.max()):.6f}{suffix}")
+    # per branch, the rule evaluate_hinted applies to every member
+    suffix = " (converged)" if settled.all() else ""
+    print(f"cr={float(np.fmax.reduce(cells[0])):.6f}{suffix}")
     print(f"cr_measured={measured:.6f}")
 
 

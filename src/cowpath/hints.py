@@ -102,13 +102,14 @@ class HintedStrategy:
 
 
 def _position_geometry(
-    r: float, horizon: int, rows: int
+    r: float, horizon: int, rows: int, lower: str = "--horizon"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Anchors b_r**j (Python powers) and np.power lengths of the unshrunk
     position member, once a record of ``rows`` members is admitted: every
-    member's lengths are at most b_r**i."""
+    member's lengths are at most b_r**i.  A rejection says to lower
+    ``lower``."""
     base = base_for_robustness(r)
-    horizon = _admit(rows, horizon, 1.0, base, f"r={r!r}", "--horizon")
+    horizon = _admit(rows, horizon, 1.0, base, f"r={r!r}", lower)
     anchors = np.array([base**j for j in range(horizon)])
     return anchors, np.power(base, np.arange(horizon, dtype=float))
 
@@ -167,19 +168,30 @@ def _position_trusted_costs(anchors: np.ndarray, powers: np.ndarray):
     return trusted_costs
 
 
+_HINTS_PER_DECADE = 128
+
+
 def position_family(
     r: float,
     horizon: int = DEFAULT_HORIZON,
     max_hint_distance: float = 2.0**20,
-    hints_per_decade: int = 128,
+    hints_per_decade: int = _HINTS_PER_DECADE,
 ) -> HintedStrategy:
     """Position-hint family with a log-spaced hint grid standing in for the
     continuous hint space."""
-    if max_hint_distance < 1.0:
-        raise ValueError("max_hint_distance must be >= 1")
+    if not (math.isfinite(max_hint_distance) and max_hint_distance >= 1.0):
+        raise ValueError(
+            f"max_hint_distance must be finite and >= 1, got {max_hint_distance!r}"
+        )
+    if not (math.isfinite(hints_per_decade) and hints_per_decade > 0):
+        raise ValueError(
+            f"hints_per_decade must be finite and > 0, got {hints_per_decade!r}"
+        )
     decades = math.log10(max_hint_distance)
     count = max(2, int(round(decades * hints_per_decade)) + 1)
-    anchors, powers = _position_geometry(r, horizon, 2 * count)
+    # the CLI keeps the default grid: a finer one is what grew
+    lower = "hints_per_decade" if hints_per_decade > _HINTS_PER_DECADE else "--horizon"
+    anchors, powers = _position_geometry(r, horizon, 2 * count, lower)
     horizon = anchors.size
     distances = np.logspace(0.0, decades, count).tolist()
     hint_space = tuple(PositionHint(d, b) for b in (0, 1) for d in distances)

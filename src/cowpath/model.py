@@ -25,7 +25,6 @@ __all__ = [
     "DirectionHint",
     "BitStringHint",
     "Hint",
-    "complement",
     "strategy_from_lengths",
     "make_geometric",
     "scale_strategy",
@@ -39,11 +38,6 @@ __all__ = [
 
 # Relative slack for float comparisons inside structural invariants.
 _REL_TOL = 1e-9
-
-
-def complement(branch: int) -> int:
-    """The other branch: complement(0) == 1, complement(1) == 0."""
-    return 1 - _check_branch(branch)
 
 
 def _check_branch(branch: int) -> int:
@@ -143,16 +137,6 @@ class Strategy:
 
     def __len__(self) -> int:
         return self.lengths.size
-
-    def turn_points(self, branch: int) -> np.ndarray:
-        """Distances of this strategy's turn points on ``branch``, in order."""
-        return self.lengths[self.branches == _check_branch(branch)]
-
-    def last_turn_point(self, branch: int) -> float:
-        """Last turn point on ``branch``, short of the farthest where its
-        lengths dip (0.0 when the branch is never searched)."""
-        points = self.turn_points(branch)
-        return float(points[-1]) if points.size else 0.0
 
 
 def strategy_from_lengths(

@@ -1,7 +1,7 @@
 """Competitive-ratio evaluation: closed-form and brute-force (measured).
 
-The closed form scores a strategy by its worst-case ratio terms
-1 + 2*(x_0+..+x_i)/x_{i-1} (with x_{-1} = 1); the measured path simulates
+The closed form scores a strategy by the worst ratio of each cell between
+two turn points, read per branch (_cells); the measured path simulates
 search costs over a target grid.  Hinted families are scored by consistency
 (ratio when the hint is trusted) and robustness (ratio under the worst hint).
 """
@@ -20,12 +20,10 @@ from .model import Members, Strategy, _alternating_rows, _shortest_reach, search
 
 __all__ = [
     "TargetGrid",
-    "default_grid",
     "family_grid",
     "competitive_ratio_terms",
     "competitive_ratio",
     "competitive_ratio_measured",
-    "tail_converged",
     "evaluate_hinted",
     "random_alternating_strategies",
     "oracle_equivalence_gaps",
@@ -53,85 +51,80 @@ class TargetGrid:
         object.__setattr__(self, "distances", d)
 
 
-def _turn_probes(lengths: np.ndarray) -> np.ndarray:
-    """One ulp past each turn point, dropping probes below distance 1.
-
-    Between two turn points a target costs C + d, so cost / d falls across
-    the cell and its supremum is the right limit at the cell's left end:
-    the probe just past a turn point is within one ulp of it.
-    """
-    probes = np.nextafter(lengths, np.inf)
-    return probes[probes >= 1.0]
-
-
-def default_grid(strategy: Strategy) -> TargetGrid:
-    """Distance 1 plus one probe just past each of the strategy's turn
-    points: the left end of every cell."""
-    return TargetGrid(np.unique(np.append(_turn_probes(strategy.lengths), 1.0)))
-
-
 def family_grid(members: Union[Iterable[Strategy], Members]) -> TargetGrid:
-    """Joint grid for a family: distance 1 plus a probe just past every
-    member's turn points, capped at the smallest per-branch reach so each
-    target is inside every horizon."""
+    """Joint grid for a family: distance 1 plus a probe one ulp past every
+    member's turn points (a cell's supremum is its left-end limit), capped
+    at the smallest per-branch reach so each target is inside every
+    horizon."""
     members = Members.stack(members)
     if not len(members):
         raise ValueError("family grid needs at least one member strategy")
     cap = _shortest_reach(members)
     if cap < 1.0:
         raise ValueError("family horizon does not reach distance 1 on both branches")
-    probes = _turn_probes(members.lengths)  # NaN padding yields no probe
-    return TargetGrid(np.unique(np.append(probes[probes <= cap], 1.0)))
+    probes = np.nextafter(members.lengths, np.inf)  # NaN padding yields no probe
+    inside = probes[(probes >= 1.0) & (probes <= cap)]
+    return TargetGrid(np.unique(np.append(inside, 1.0)))
 
 
-def _terms(members: Members) -> np.ndarray:
-    """Ratio terms of each member's row; NaN past a row's end."""
-    terms = 2.0 * members.sums[:, 1:]
-    terms[:, 1:] /= members.lengths[:, :-1]  # x_{-1} = 1
-    terms += 1.0
-    return terms
+def _cells(members: Members) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form, exact on every strategy: the ratio of each cell.
+
+    Between two turn points on one branch a target costs C + d, so a cell's
+    supremum is its ratio at the left end.  Segment s opens a cell on its
+    branch when x_s >= 1 and x_s > M, the farthest earlier turn point there
+    (0 if none): the targets in (max(M, 1), x_s] cost 2 * sums[s] + d, so
+    the cell's ratio is 1 + 2 * sums[s] / max(M, 1).  The column after a
+    row's last segment is the cell just past the farthest turn point on the
+    other branch, the one the next alternating segment would search, with
+    the whole walk as its prefix.  For an alternating strategy whose lengths
+    are >= 1 and grow two apart, column i + 1 is the paper's term
+    1 + 2 * (x_0 + .. + x_i) / x_{i-1}, x_{-1} = 1.
+
+    Returns (cells, settled).  cells[i, s] is the ratio of the cell column s
+    of row i opens, NaN where it opens none.  settled[i, b] says whether
+    branch b's tail has converged: it has at least five cells and its
+    largest is within 1e-6 of the least of its last five.
+    """
+    lengths, branches, sums = members.lengths, members.branches, members.sums
+    rows = np.arange(len(members))
+    ends = np.count_nonzero(branches >= 0, axis=1)  # each row's end column
+    reach = np.full(sums.shape, np.nan)
+    reach[:, :-1] = lengths
+    reach[rows, ends] = np.inf  # the end column's cell always opens
+    side = np.full(sums.shape, -1, dtype=np.int8)
+    side[:, :-1] = branches
+    side[rows, ends] = 1 - branches[rows, ends - 1]
+    mine = side == np.arange(2, dtype=np.int8)[:, None, None]  # per branch
+    far = np.zeros(mine.shape)  # the farthest earlier turn point
+    on = np.where(mine[:, :, :-1], reach[:, :-1], 0.0)  # no NaN: fmax is max
+    np.fmax.accumulate(on, axis=2, out=far[:, :, 1:])
+    far = np.where(side == 1, far[1], far[0])
+    opens = (reach >= 1.0) & (reach > far)  # NaN compares false
+    cells = 2.0 * sums
+    cells /= np.maximum(far, 1.0)
+    cells += 1.0
+    cells[~opens] = np.nan
+    mine &= opens
+    rank = np.cumsum(mine, axis=2, dtype=np.int32)
+    count = rank[:, :, -1:]
+    top = np.max(np.where(mine, cells, -np.inf), axis=2)
+    low = np.min(np.where(mine & (rank > count - 5), cells, np.inf), axis=2)
+    settled = (count[:, :, 0] >= 5) & (top - low <= 1e-6)
+    return cells, settled.T
 
 
 def competitive_ratio_terms(strategy: Strategy) -> np.ndarray:
-    """Per-index ratio values 1 + 2*(x_0+..+x_i)/x_{i-1}, with x_{-1} = 1.
-
-    The competitive ratio is the maximum of these terms.
-    """
-    return _terms(Members.stack(strategy))[0]
+    """Per column 1..n, the ratio of the cell it opens (see _cells; NaN
+    where none): 1 + 2*(x_0+..+x_i)/x_{i-1}, with x_{-1} = 1, for an
+    alternating strategy whose lengths are >= 1 and grow two apart.  The
+    competitive ratio is the maximum of these terms."""
+    return _cells(Members.stack(strategy))[0][0, 1:]
 
 
 def competitive_ratio(strategy: Strategy) -> float:
-    """Closed-form competitive ratio of the finite prefix."""
-    return float(np.max(competitive_ratio_terms(strategy)))
-
-
-_TAIL_WINDOW = 5
-_TAIL_TOL = 1e-6
-
-
-def tail_converged(values: np.ndarray) -> bool:
-    """True when the last five values sit within 1e-6 of the max."""
-    v = np.asarray(values, dtype=float)
-    if v.size < _TAIL_WINDOW:
-        return False
-    return bool(float(np.max(v)) - float(np.min(v[-_TAIL_WINDOW:])) <= _TAIL_TOL)
-
-
-def _tails_converged(terms: np.ndarray) -> np.ndarray:
-    """Per row of stacked ratio terms (NaN past a row's end): whether
-    tail_converged holds for the terms of each parity.  The last five terms
-    of one parity are that parity's terms among the row's last ten."""
-    size = np.count_nonzero(~np.isnan(terms), axis=1)[:, None]
-    col = np.arange(terms.shape[1])
-    ok = np.ones(terms.shape[0], dtype=bool)
-    for parity in (0, 1):
-        mine = (col % 2 == parity) & (col < size)
-        tail = mine & (col >= size - 2 * _TAIL_WINDOW)
-        top = np.max(np.where(mine, terms, -np.inf), axis=1)
-        low = np.min(np.where(tail, terms, np.inf), axis=1)
-        count = (size[:, 0] - parity + 1) // 2
-        ok &= (count >= _TAIL_WINDOW) & (top - low <= _TAIL_TOL)
-    return ok
+    """Closed-form competitive ratio of the finite prefix: its largest cell."""
+    return float(np.fmax.reduce(_cells(Members.stack(strategy))[0][0]))
 
 
 def _probe_rows(members: Members, first: np.ndarray) -> np.ndarray:
@@ -169,7 +162,7 @@ def competitive_ratio_measured(
     """Brute-force competitive ratio: max of search_cost/d over the grid
     distances and one ulp past each of the strategy's own turn points, on
     both branches, restricted to targets the prefix actually finds.  The
-    grid defaults to default_grid(strategy)."""
+    grid defaults to distance 1 alone."""
     return float(_measured_ratios(Members.stack(strategy), grid)[0])
 
 
@@ -208,9 +201,9 @@ def evaluate_hinted(
         consistency = max(consistency, float(np.max(costs / distances)))
 
     robustness = float(np.max(_measured_ratios(members)))
-    # Per parity: a member whose two branches grow at different rates has
-    # terms that alternate between two limits.
-    converged = bool(np.all(_tails_converged(_terms(members))))
+    # Per branch: a member whose two branches grow at different rates has
+    # cells that alternate between two limits.
+    converged = bool(_cells(members)[1].all())
     return TradeoffPoint(consistency, robustness, "measured", converged)
 
 
@@ -245,5 +238,5 @@ def oracle_equivalence_gaps(
     if not strategies:
         return np.empty(0)
     members = Members.stack(strategies)
-    closed = np.fmax.reduce(_terms(members), axis=1)
+    closed = np.fmax.reduce(_cells(members)[0], axis=1)
     return np.abs(closed - _measured_ratios(members))

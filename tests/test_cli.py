@@ -85,8 +85,8 @@ class TestEval:
         assert cr == pytest.approx(robustness, abs=1e-6)
 
     def test_file_reports_per_parity_convergence(self, capsys, tmp_path):
-        # delta < 1: the terms alternate between two limits, and the file
-        # report applies the per-parity rule the family eval applies
+        # delta < 1: the cells alternate between two limits, and the file
+        # report applies the per-branch rule the family eval applies
         member = direction_family(2.0, 0.5).select(DirectionHint(0))
         path = tmp_path / "member.json"
         path.write_text(json.dumps(strategy_to_json(member)))
@@ -96,6 +96,31 @@ class TestEval:
             "cr=14.333333 (converged)",
             "cr_measured=14.333333",
         ]
+
+    @pytest.mark.parametrize(
+        "segments, cr",
+        [
+            ([(1, 0), (2, 0), (4, 1), (8, 1), (16, 0)], "16.000000"),
+            ([(0.01, 0), (0.01, 1), (4, 0), (8, 1)], "9.040000"),
+        ],
+        ids=["non-alternating", "below-1"],
+    )
+    def test_closed_form_is_exact_on_any_strategy(self, capsys, segments, cr):
+        doc = {"segments": [{"length": x, "branch": b} for x, b in segments]}
+        code, out, err = run(capsys, "eval", "--json", json.dumps(doc))
+        assert code == 0 and err == ""
+        assert out.splitlines() == [f"cr={cr}", f"cr_measured={cr}"]
+
+    def test_extreme_lengths_print_a_finite_ratio(self, capsys):
+        doc = {"segments": [{"length": 1e-300, "branch": 0},
+                            {"length": 1e300, "branch": 1}]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "eval", "--json", json.dumps(doc))
+        assert code == 0 and err == "" and caught == []
+        cr, measured = out.splitlines()
+        assert math.isfinite(float(cr.removeprefix("cr=")))
+        assert measured == "cr_measured=1.000000"
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "eval")
@@ -666,7 +691,8 @@ class TestTopLevel:
                 assert getattr(cowpath, name) is getattr(m, name)
 
     def test_cold_paths_load_no_numpy(self, tmp_path):
-        # each command runs in a fresh interpreter, so sys.modules starts empty
+        # each command runs in a fresh interpreter, so sys.modules starts
+        # empty; of the package, only the front end and bounds may load
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"class": "all", "r": "9:20:1", "k": 3}))
         run_cli = (
@@ -675,6 +701,10 @@ class TestTopLevel:
             "    runpy.run_module('cowpath', run_name='__main__')\n"
             "finally:\n"
             "    assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "    loaded = {m for m in sys.modules if m.split('.')[0] == 'cowpath'}\n"
+            "    front = {'cowpath.cli', 'cowpath.bounds'}\n"
+            "    allowed = front | {'cowpath', 'cowpath.__main__'}\n"
+            "    assert front <= loaded <= allowed, loaded\n"
         )
         cases = [
             (["-c", "import sys, cowpath\nassert 'numpy' not in sys.modules"], 0),

@@ -115,6 +115,32 @@ class TestPositionHintStrategy:
         member = fam.select(hints[0])
         assert search_cost(member, Target(hints[0].distance, hints[0].branch))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_hint_distance": math.inf}, "max_hint_distance must be finite"),
+            ({"max_hint_distance": math.nan}, "max_hint_distance must be finite"),
+            ({"max_hint_distance": 0.5}, r"max_hint_distance .* >= 1, got 0\.5"),
+            ({"hints_per_decade": math.inf}, "hints_per_decade must be finite"),
+            ({"hints_per_decade": 0}, r"hints_per_decade .* > 0, got 0"),
+        ],
+        ids=["inf", "nan", "below-1", "hints-inf", "hints-0"],
+    )
+    def test_family_inputs_name_their_parameter(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            position_family(9.0, **kwargs)
+
+    def test_too_many_hints_says_lower_hints_per_decade(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(hints, "_position_rows", lambda *a: built.append(a))
+        with pytest.raises(ValueError, match="12041202 members") as info:
+            position_family(9.0, hints_per_decade=10**6)
+        assert str(info.value).endswith("(lower hints_per_decade)")
+        assert not built
+        # at the default grid, the horizon is what grew
+        with pytest.raises(ValueError, match=r"horizon=700 .*\(lower --horizon\)$"):
+            position_family(9.0, horizon=700)
+
 
 class TestDirectionHintStrategy:
     def test_lengths_and_branches(self):

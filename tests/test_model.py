@@ -16,7 +16,6 @@ from cowpath.model import (
     Strategy,
     Target,
     cheapest_search_costs,
-    complement,
     make_geometric,
     scale_strategy,
     search_cost,
@@ -91,17 +90,6 @@ class TestStrategy:
         assert np.array_equal(s.lengths, [1, 2, 4, 8, 16])
         assert np.array_equal(s.branches, [0, 1, 0, 1, 0])
 
-    def test_turn_points(self):
-        s = make_geometric(2.0, 5)
-        assert np.array_equal(s.turn_points(0), [1, 4, 16])
-        assert np.array_equal(s.turn_points(1), [2, 8])
-        assert s.last_turn_point(0) == 16.0
-        assert s.last_turn_point(1) == 8.0
-
-    def test_last_turn_point_unsearched_branch(self):
-        s = Strategy([3.0], [0])
-        assert s.last_turn_point(1) == 0.0
-
     def test_arrays_read_only(self):
         s = make_geometric(2.0, 4)
         assert s.lengths.dtype == np.float64 and s.branches.dtype == np.int64
@@ -171,11 +159,6 @@ class TestTargetAndHints:
             Target(0.5, 0)
         with pytest.raises(ValueError):
             Target(2.0, 3)
-
-    def test_complement(self):
-        assert complement(0) == 1 and complement(1) == 0
-        with pytest.raises(ValueError):
-            complement(2)
 
     def test_bit_string_hint_range(self):
         assert BitStringHint(3, 2).index == 3

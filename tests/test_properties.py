@@ -31,6 +31,7 @@ from cowpath.hints import (
     preferred_partition,
 )
 from cowpath.model import (
+    DirectionHint,
     Members,
     PositionHint,
     Strategy,
@@ -43,14 +44,12 @@ from cowpath.model import (
     strategy_from_lengths,
 )
 from cowpath.ratios import (
+    _cells,
     _measured_ratios,
-    _tails_converged,
     competitive_ratio,
     competitive_ratio_measured,
-    competitive_ratio_terms,
     evaluate_hinted,
     random_alternating_strategies,
-    tail_converged,
 )
 
 finite = {"allow_nan": False, "allow_infinity": False}
@@ -87,7 +86,7 @@ def test_measured_never_exceeds_closed_form(b, scale, n):
 @settings(max_examples=40, deadline=None)
 @given(s=alternating_strategies())
 def test_vectorized_costs_match_scalar(s):
-    hi = max(s.last_turn_point(0), s.last_turn_point(1)) * 1.3
+    hi = float(s.lengths[-2:].max()) * 1.3  # the farther last turn point
     ds = np.geomspace(1.0, max(hi, 1.5), 40)
     for branch in (0, 1):
         vec = search_costs(s, ds, branch)
@@ -106,7 +105,7 @@ def test_vectorized_costs_match_scalar(s):
 )
 def test_shrinking_never_raises_measured_ratio(s, lam):
     shrunk = scale_strategy(s, 1.0 / lam)
-    assume(min(shrunk.last_turn_point(0), shrunk.last_turn_point(1)) >= 1.0)
+    assume(shrunk.lengths[-2:].min() >= 1.0)  # both last turn points
     assert competitive_ratio_measured(shrunk) <= (
         competitive_ratio_measured(s) + 1e-7
     )
@@ -121,7 +120,7 @@ def test_extension_preserves_found_costs(s, f):
     lengths = list(s.lengths)
     extended = lengths + [lengths[-1] * f, lengths[-1] * f * f]
     s2 = strategy_from_lengths(extended, int(s.branches[0]))
-    hi = max(s.last_turn_point(0), s.last_turn_point(1))
+    hi = float(s.lengths[-2:].max())
     for branch in (0, 1):
         for d in np.geomspace(1.0, max(hi, 1.0), 12):
             before = search_cost(s, Target(float(d), branch))
@@ -218,13 +217,13 @@ def test_member_records_match_the_per_member_rules(
 
 
 @st.composite
-def two_apart_strategies(draw):
+def two_apart_strategies(draw, low=0.5):
     """Strategies with random branches: each parity class of the lengths is
     sorted, so the two-apart rule holds but a branch's lengths may dip."""
     n = draw(st.integers(min_value=1, max_value=16))
     lengths = draw(
         st.lists(
-            st.floats(min_value=0.5, max_value=100.0, **finite),
+            st.floats(min_value=low, max_value=100.0, **finite),
             min_size=n,
             max_size=n,
         )
@@ -424,9 +423,31 @@ def _family(members):
     )
 
 
-def _converged_per_parity(member):
-    terms = competitive_ratio_terms(member)
-    return tail_converged(terms[0::2]) and tail_converged(terms[1::2])
+def _scalar_cells(s):
+    """Per branch, the ratio of each cell in walk order, one segment at a
+    time: segment s opens a cell when x_s >= 1 and x_s > M, the farthest
+    earlier turn point on its branch, with ratio 1 + 2 * (walk before s) /
+    max(M, 1); last, the cell past the farthest turn point of the branch the
+    last segment did not search, with the whole walk before it."""
+    cells, far, walked = ([], []), [0.0, 0.0], 0.0
+    for x, branch in zip(s.lengths.tolist(), s.branches.tolist()):
+        if x >= 1.0 and x > far[branch]:
+            cells[branch].append(1.0 + 2.0 * walked / max(far[branch], 1.0))
+        far[branch] = max(far[branch], x)
+        walked += x
+    other = 1 - int(s.branches[-1])
+    cells[other].append(1.0 + 2.0 * walked / max(far[other], 1.0))
+    return cells
+
+
+def _scalar_settled(cells):
+    """One branch's tail verdict: five cells or more, the largest within
+    1e-6 of the least of the last five."""
+    return len(cells) >= 5 and max(cells) - min(cells[-5:]) <= 1e-6
+
+
+def _converged(member):
+    return all(map(_scalar_settled, _scalar_cells(member)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,7 +468,7 @@ def test_batched_robustness_is_the_worst_member(members):
             if (cost := search_cost(m, Target(d, branch))) is not None
         ]
         assert ratio == max(scalar)
-    assert point.converged == all(map(_converged_per_parity, members))
+    assert point.converged == all(map(_converged, members))
 
 
 @settings(max_examples=40, deadline=None)
@@ -469,32 +490,46 @@ def test_batched_evaluation_of_geometric_members(specs):
     members = [make_geometric(b, n, first) for b, n, first in specs]
     point = evaluate_hinted(_family(members))
     assert point.robustness == max(map(competitive_ratio_measured, members))
-    assert point.converged == all(map(_converged_per_parity, members))
+    assert point.converged == all(map(_converged, members))
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    rows=st.lists(
-        st.lists(
-            st.sampled_from([1.0, 1.0 + 8e-7, 1.0 + 3e-6]),
-            min_size=1,
-            max_size=16,
-        ),
-        min_size=1,
-        max_size=5,
-    )
-)
-# the sixth-last term of parity 0 is outside the tail: converged
-@example(rows=[[1.0] + [1.0 + 3e-6] * 11, [1.0 + 3e-6] * 12])
-def test_stacked_tail_check_matches_tail_converged(rows):
-    terms = np.full((len(rows), max(map(len, rows))), np.nan)
-    for i, row in enumerate(rows):
-        terms[i, : len(row)] = row
-    want = [
-        tail_converged(np.array(row[0::2])) and tail_converged(np.array(row[1::2]))
-        for row in rows
-    ]
-    assert _tails_converged(terms).tolist() == want
+@given(strategies=st.lists(two_apart_strategies(low=0.01), min_size=1, max_size=4))
+@example(strategies=[Strategy([1.0, 2.0, 4.0, 8.0, 16.0], [0, 0, 1, 1, 0])])
+@example(strategies=[strategy_from_lengths([0.01, 0.01, 4.0, 8.0])])
+@example(strategies=[Strategy([1e-300, 1e300], [0, 1])])
+@example(strategies=[strategy_from_lengths([1.0] * 6), make_geometric(2.0, 64)])
+@example(strategies=[direction_family(3.0, 0.1).select(DirectionHint(1))])
+def test_cells_match_the_scalar_oracle(strategies):
+    # one padded record: each row's end column sits right after its segments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells, settled = _cells(Members.stack(strategies))
+    for i, s in enumerate(strategies):
+        n = len(s)
+        want = _scalar_cells(s)
+        sides = [*s.branches.tolist(), 1 - int(s.branches[-1])]
+        for branch in (0, 1):
+            got = [c for c, side in zip(cells[i, : n + 1], sides) if side == branch]
+            assert [c for c in got if not math.isnan(c)] == want[branch]
+            assert settled[i, branch] == _scalar_settled(want[branch])
+        assert np.isnan(cells[i, n + 1 :]).all()
+        # without the end cell, the cells are the scalar search_cost oracle's
+        # suprema: its ratio just past each turn point and at distance 1
+        closed = np.fmax.reduce(cells[i, :n])
+        if np.isnan(closed):  # no segment reaches distance 1
+            with pytest.raises(ValueError, match="empty effective grid"):
+                competitive_ratio_measured(s)
+            continue
+        assert closed == pytest.approx(competitive_ratio_measured(s), rel=1e-12)
+        probes = np.nextafter(s.lengths, np.inf)
+        scalar = [
+            cost / d
+            for d in [1.0, *probes[probes >= 1.0].tolist()]
+            for branch in (0, 1)
+            if (cost := search_cost(s, Target(d, branch))) is not None
+        ]
+        assert closed == pytest.approx(max(scalar), rel=1e-12)
 
 
 def _numpy_growth_margins(x, b):

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,15 +21,14 @@ from cowpath.model import (
 )
 from cowpath.ratios import (
     TargetGrid,
+    _cells,
     competitive_ratio,
     competitive_ratio_measured,
     competitive_ratio_terms,
-    default_grid,
     evaluate_hinted,
     family_grid,
     oracle_equivalence_gaps,
     random_alternating_strategies,
-    tail_converged,
 )
 from cowpath.bounds import HorizonTooShort, TradeoffPoint, direction_tradeoff
 from cowpath.hints import cheapest_trusted_costs, direction_family, position_family
@@ -60,6 +60,31 @@ class TestClosedForm:
     def test_single_segment(self):
         assert competitive_ratio(Strategy([1.0], [0])) == 3.0
 
+    def test_non_alternating_branches(self):
+        # the target just past 2 on branch 0 waits for the segment of length
+        # 16, at cost 2 * 15 + 2: the alternating terms would give 8.75
+        s = Strategy([1.0, 2.0, 4.0, 8.0, 16.0], [0, 0, 1, 1, 0])
+        assert competitive_ratio(s) == 16.0
+        assert competitive_ratio_measured(s) == pytest.approx(16.0, rel=1e-12)
+        terms = competitive_ratio_terms(s)
+        assert terms.tolist() == [3.0, 7.0, 4.5, 16.0, 8.75]
+
+    def test_lengths_below_one(self):
+        # no target lies below distance 1: a cell's left end is floored at 1,
+        # and the two segments of length 0.01 open no cell
+        s = Strategy([0.01, 0.01, 4.0, 8.0], [0, 1, 0, 1])
+        assert competitive_ratio(s) == pytest.approx(9.04, rel=1e-15)
+        assert competitive_ratio(s) == pytest.approx(
+            competitive_ratio_measured(s), rel=1e-12
+        )
+        assert np.isnan(competitive_ratio_terms(s)[0])
+
+    def test_extreme_lengths_stay_finite(self):
+        s = Strategy([1e-300, 1e300], [0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert competitive_ratio(s) == 1.0 + 2.0 * (1e300 + 1e-300)
+
 
 class TestMeasured:
     def test_doubling_agrees(self):
@@ -89,15 +114,22 @@ class TestMeasured:
             competitive_ratio_measured(s, TargetGrid((3.0, 4.0)))
 
 
+def _settled(strategy):
+    """Per branch, whether the strategy's tail of cells has converged."""
+    return _cells(Members.stack(strategy))[1][0].tolist()
+
+
 class TestTailConverged:
     def test_short_false(self):
-        assert not tail_converged(np.array([1.0, 2.0]))
+        # four segments: three cells on branch 0, two on branch 1
+        assert _settled(make_geometric(2.0, 4)) == [False, False]
 
     def test_converged_series(self):
-        assert tail_converged(competitive_ratio_terms(make_geometric(2.0, 64)))
+        assert _settled(make_geometric(2.0, 64)) == [True, True]
 
     def test_unconverged_series(self):
-        assert not tail_converged(competitive_ratio_terms(make_geometric(2.0, 8)))
+        # ten cells per branch, the last five still 2**-13 or more apart
+        assert _settled(make_geometric(2.0, 20)) == [False, False]
 
 
 class TestTradeoffPoint:
@@ -135,21 +167,10 @@ class TestGrids:
         with pytest.raises(AttributeError):
             grid.distances = given
 
-    def test_default_grid_contents(self):
-        s = make_geometric(2.0, 6)
-        grid = default_grid(s)
-        d = np.asarray(grid.distances)
-        assert d[0] == 1.0
-        assert d[-1] == pytest.approx(32.0 * (1 + 1e-9))
-        for x in s.lengths:
-            assert np.any(np.isclose(d, x * (1 + 1e-9)))
-        # exactly distance 1 and one ulp past each turn point, no other probe
-        assert d.tolist() == [1.0, *np.nextafter(s.lengths, np.inf).tolist()]
-
     def test_family_grid_cap(self):
         members = [make_geometric(2.0, 6), make_geometric(2.0, 6, 0, 0.5)]
         grid = family_grid(members)
-        cap = min(m.last_turn_point(b) for m in members for b in (0, 1))
+        cap = float(np.min([m.lengths[-2:] for m in members]))  # last turn points
         assert max(grid.distances) <= cap
         assert min(grid.distances) == 1.0
         turns = np.unique(np.concatenate([m.lengths for m in members]))
@@ -202,7 +223,7 @@ class TestEvaluateHinted:
         # the tail of all terms never settles but each parity's tail does
         family = direction_family(b, delta)
         terms = competitive_ratio_terms(family.select(family.hint_space[0]))
-        assert not tail_converged(terms)
+        assert np.nanmax(terms) - terms[-5:].min() > 1e-6
         assert evaluate_hinted(family).converged
         assert not evaluate_hinted(direction_family(b, delta, horizon=20)).converged
 
