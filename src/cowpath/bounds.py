@@ -334,9 +334,11 @@ class InequalityReport:
     tail_index: Optional[int] = None
 
 
-def check_segment_growth_lemma(
-    strategy: Strategy, r: float, tolerance: float = 1e-9
-) -> InequalityReport:
+# Every inequality check holds to rounding: a margin above this is a violation.
+_TOLERANCE = 1e-9
+
+
+def check_segment_growth_lemma(strategy: Strategy, r: float) -> InequalityReport:
     """Margins x_i - (b_r + b_r/(i+1)) x_{i-1} (x_{-1} = 1) for a strategy
     whose competitive ratio is at most r; positive margin = violation."""
     b = base_for_robustness(r)
@@ -345,12 +347,10 @@ def check_segment_growth_lemma(
     margins = [
         xi - (b + b / j) * prev for j, xi, prev in zip(count(1.0), x, [1.0, *x[:-1]])
     ]
-    return _report("segment_growth", margins, tolerance)
+    return _report("segment_growth", margins)
 
 
-def check_prefix_sum_bound(
-    strategy: Strategy, r: float, tolerance: float = 1e-9
-) -> InequalityReport:
+def check_prefix_sum_bound(strategy: Strategy, r: float) -> InequalityReport:
     """Margins of sum_{j<i} x_j >= x_i/(1 + 1/(i+1)) * ((i+2)/(i+1) - b_r/(b_r-1))
     rearranged so that positive margin = violation; the i = 0 margin is 0 by
     convention (empty sum, trivially holding).  tail_index is the largest i
@@ -368,70 +368,59 @@ def check_prefix_sum_bound(
     short = [
         i for i, xi, s in zip(count(), x, csum) if not s >= slope * xi - 1e-2 * xi
     ]
-    return _report("prefix_sum", margins, tolerance, short[-1] if short else None)
+    return _report("prefix_sum", margins, short[-1] if short else None)
 
 
 def _report(
-    label: str,
-    margins: list[float],
-    tolerance: float,
-    tail_index: Optional[int] = None,
+    label: str, margins: list[float], tail_index: Optional[int] = None
 ) -> InequalityReport:
-    violation = next((i for i, m in enumerate(margins) if m > tolerance), None)
+    violation = next((i for i, m in enumerate(margins) if m > _TOLERANCE), None)
     return InequalityReport(
         label=label,
         margins=tuple(margins),
         holds=violation is None,
         violation_index=violation,
-        tolerance=float(tolerance),
+        tolerance=_TOLERANCE,
         tail_index=tail_index,
     )
 
 
-def robust_base_grid(r: float, points: int = 20) -> list[float]:
-    """Evenly spaced bases spanning the feasible interval at budget r: the
-    points of numpy.linspace(lo, hi, points), lo + i * step with the last
-    one exactly hi."""
+def robust_base_grid(r: float) -> list[float]:
+    """20 evenly spaced bases spanning the feasible interval at budget r: the
+    points of numpy.linspace(lo, hi, 20), lo + i * step with the last one
+    exactly hi."""
     lo, hi = robust_base_interval(r)
-    points = int(points)
-    if points < 0:
-        raise ValueError(f"points must be >= 0, got {points}")
-    if points < 2:
-        return [lo] * points
-    step = (hi - lo) / (points - 1)
-    return [lo + i * step for i in range(points - 1)] + [hi]
+    step = (hi - lo) / 19
+    return [lo + i * step for i in range(19)] + [hi]
 
 
-def _geometric_sweep(
-    check, rs: Sequence[float], points: int, horizon: int
-) -> list[InequalityReport]:
+# The sweep grid of both inequality sweeps: these budgets, the bases of
+# robust_base_grid at each, and geometric strategies of 101 segments.
+_SWEEP_RS = (9.0, 10.0, 13.0, 25.0)
+_SWEEP_HORIZON = 101
+
+
+def _sweep_cells() -> list[tuple[float, float]]:
+    """The (r, b) of each report of a sweep, in order."""
+    return [(r, b) for r in _SWEEP_RS for b in robust_base_grid(r)]
+
+
+def _geometric_sweep(check) -> list[InequalityReport]:
     from .model import make_geometric  # model imports this module
 
-    return [
-        check(make_geometric(b, horizon), r)
-        for r in rs
-        for b in robust_base_grid(r, points)
-    ]
+    return [check(make_geometric(b, _SWEEP_HORIZON), r) for r, b in _sweep_cells()]
 
 
-def growth_lemma_sweep(
-    rs: Sequence[float] = (9.0, 10.0, 13.0, 25.0),
-    points: int = 20,
-    horizon: int = 101,
-) -> list[InequalityReport]:
+def growth_lemma_sweep() -> list[InequalityReport]:
     """Segment-growth margins for geometric strategies across the feasible
-    base range of each budget."""
-    return _geometric_sweep(check_segment_growth_lemma, rs, points, horizon)
+    base range of each budget of the sweep grid."""
+    return _geometric_sweep(check_segment_growth_lemma)
 
 
-def prefix_bound_sweep(
-    rs: Sequence[float] = (9.0, 10.0, 13.0, 25.0),
-    points: int = 20,
-    horizon: int = 101,
-) -> list[InequalityReport]:
+def prefix_bound_sweep() -> list[InequalityReport]:
     """Prefix-sum margins for geometric strategies across the feasible base
-    range of each budget."""
-    return _geometric_sweep(check_prefix_sum_bound, rs, points, horizon)
+    range of each budget of the sweep grid."""
+    return _geometric_sweep(check_prefix_sum_bound)
 
 
 def frontier_curve(
@@ -457,13 +446,11 @@ def frontier_curve(
     return FrontierCurve(hint_class, k, points)
 
 
-def build_frontiers(
-    r_values: Sequence[float], ks: Sequence[int] = (2,)
-) -> list[FrontierCurve]:
+def build_frontiers(r_values: Sequence[float], k: int = 2) -> list[FrontierCurve]:
     """Frontier curves for every hint class at the given budgets: position,
-    direction and onebit, then one kbit curve per k."""
-    curves = [frontier_curve(c, r_values) for c in ("position", "direction", "onebit")]
-    return curves + [frontier_curve("kbit", r_values, k) for k in ks]
+    direction, onebit, then the kbit curve of k bits."""
+    hint_classes = ("position", "direction", "onebit", "kbit")
+    return [frontier_curve(c, r_values, k) for c in hint_classes]
 
 
 def frontier_to_csv(curves: Sequence[FrontierCurve]) -> str:

@@ -16,13 +16,13 @@ from typing import Optional, Sequence
 from .bounds import (
     DEFAULT_HORIZON,
     HorizonTooShort,
+    _sweep_cells,
     build_frontiers,
     check_segment_growth_lemma,
     frontier_curve,
     frontier_to_csv,
     growth_lemma_sweep,
     prefix_bound_sweep,
-    robust_base_grid,
 )
 
 # Only the numpy-free bounds module is imported here, so --help, usage
@@ -58,7 +58,12 @@ def _parse_r_range(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"range must hold at most {_MAX_R_POINTS} points, got {text!r}"
         )
-    return tuple(start + i * step for i in range(math.floor(steps) + 1))
+    rs = tuple(start + i * step for i in range(math.floor(steps) + 1))
+    if len(set(rs)) < len(rs):
+        raise argparse.ArgumentTypeError(
+            f"range step is below the float spacing and repeats a budget, got {text!r}"
+        )
+    return rs
 
 
 def _kv_pairs(items: Sequence[str], what: str) -> dict[str, float]:
@@ -163,25 +168,20 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     if rs[0] < 9.0:
         raise ValueError(f"r range must start at 9 or above, got {rs[0]}")
     if args.hint_class == "all":
-        curves = build_frontiers(rs, ks=(args.k,))
+        curves = build_frontiers(rs, args.k)
     else:
         curves = [frontier_curve(args.hint_class, rs, args.k)]
     _write_text(args.output, frontier_to_csv(curves))
     return 0
 
 
-_SWEEP_RS = (9.0, 10.0, 13.0, 25.0)
-_SWEEP_POINTS = 20
-
-
 def _verify_sweep(label: str, sweep) -> tuple[bool, str]:
     """Run an inequality sweep over geometric strategies and report its
     worst margin and where it occurs."""
-    reports = sweep(_SWEEP_RS, _SWEEP_POINTS)
-    cells = [(r, b) for r in _SWEEP_RS for b in robust_base_grid(r, _SWEEP_POINTS)]
+    reports = sweep()
     worst = -math.inf
     where = ""
-    for (r, b), report in zip(cells, reports):
+    for (r, b), report in zip(_sweep_cells(), reports):
         i = report.margins.index(max(report.margins))
         if report.margins[i] > worst:
             worst, where = report.margins[i], f"r={r:g},b={b:.6g},i={i}"

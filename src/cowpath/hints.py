@@ -169,25 +169,21 @@ def _position_trusted_costs(anchors: np.ndarray, powers: np.ndarray):
 
 
 _HINTS_PER_DECADE = 128
+_MAX_HINT_DISTANCE = 2.0**20
 
 
 def position_family(
     r: float,
     horizon: int = DEFAULT_HORIZON,
-    max_hint_distance: float = 2.0**20,
     hints_per_decade: int = _HINTS_PER_DECADE,
 ) -> HintedStrategy:
-    """Position-hint family with a log-spaced hint grid standing in for the
-    continuous hint space."""
-    if not (math.isfinite(max_hint_distance) and max_hint_distance >= 1.0):
-        raise ValueError(
-            f"max_hint_distance must be finite and >= 1, got {max_hint_distance!r}"
-        )
+    """Position-hint family with a log-spaced hint grid from distance 1 to
+    2**20 on each branch standing in for the continuous hint space."""
     if not (math.isfinite(hints_per_decade) and hints_per_decade > 0):
         raise ValueError(
             f"hints_per_decade must be finite and > 0, got {hints_per_decade!r}"
         )
-    decades = math.log10(max_hint_distance)
+    decades = math.log10(_MAX_HINT_DISTANCE)
     count = max(2, int(round(decades * hints_per_decade)) + 1)
     # the CLI keeps the default grid: a finer one is what grew
     lower = "hints_per_decade" if hints_per_decade > _HINTS_PER_DECADE else "--horizon"

@@ -54,6 +54,9 @@ def _check_distance(distance: float) -> float:
 
 
 def _check_length(length: float) -> float:
+    # float() would read a JSON bool as 1.0 or 0.0 and a string as its number
+    if not isinstance(length, (int, float)) or isinstance(length, bool):
+        raise ValueError(f"segment length must be a number, got {length!r}")
     value = float(length)
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(

@@ -1,8 +1,8 @@
 """Competitive-ratio evaluation: closed-form and brute-force (measured).
 
 The closed form scores a strategy by the worst ratio of each cell between
-two turn points, read per branch (_cells); the measured path simulates
-search costs over a target grid.  Hinted families are scored by consistency
+two turn points, read per branch (_cells); the measured path probes search
+costs just past every turn point.  Hinted families are scored by consistency
 (ratio when the hint is trusted) and robustness (ratio under the worst hint).
 """
 
@@ -55,13 +55,15 @@ def family_grid(members: Union[Iterable[Strategy], Members]) -> TargetGrid:
     """Joint grid for a family: distance 1 plus a probe one ulp past every
     member's turn points (a cell's supremum is its left-end limit), capped
     at the smallest per-branch reach so each target is inside every
-    horizon."""
+    horizon.  A reach below 1 raises HorizonTooShort."""
     members = Members.stack(members)
     if not len(members):
         raise ValueError("family grid needs at least one member strategy")
     cap = _shortest_reach(members)
     if cap < 1.0:
-        raise ValueError("family horizon does not reach distance 1 on both branches")
+        raise HorizonTooShort(
+            "family horizon does not reach distance 1 on both branches"
+        )
     probes = np.nextafter(members.lengths, np.inf)  # NaN padding yields no probe
     inside = probes[(probes >= 1.0) & (probes <= cap)]
     return TargetGrid(np.unique(np.append(inside, 1.0)))
@@ -127,25 +129,15 @@ def competitive_ratio(strategy: Strategy) -> float:
     return float(np.fmax.reduce(_cells(Members.stack(strategy))[0][0]))
 
 
-def _probe_rows(members: Members, first: np.ndarray) -> np.ndarray:
-    """Row i: the distances ``first`` and one ulp past member i's turn
-    points.  A probe below 1 or past the row's end repeats first[0], which
-    leaves the row's maximum ratio as it is."""
-    d = np.empty((len(members), first.size + members.lengths.shape[1]))
-    d[:, : first.size] = first
-    probes = np.nextafter(members.lengths, np.inf, out=d[:, first.size :])
-    probes[~(probes >= 1.0)] = first[0]  # NaN (past the end) compares false
-    return d
-
-
-def _measured_ratios(
-    members: Members, grid: Optional[TargetGrid] = None
-) -> np.ndarray:
+def _measured_ratios(members: Members) -> np.ndarray:
     """Per member, its brute-force competitive ratio (see
     competitive_ratio_measured): one row-wise search_costs call per branch
-    scores every member on the grid (distance 1 when None) and its own
-    turn-point probes."""
-    d = _probe_rows(members, np.array([1.0]) if grid is None else grid.distances)
+    scores every member at distance 1 and one ulp past each of its turn
+    points.  A probe below 1 or past the row's end repeats distance 1,
+    which leaves the row's maximum ratio as it is."""
+    d = np.ones((len(members), 1 + members.lengths.shape[1]))
+    probes = np.nextafter(members.lengths, np.inf, out=d[:, 1:])
+    probes[~(probes >= 1.0)] = 1.0  # NaN (past the end) compares false
     best = np.full(len(members), np.nan)
     for branch in (0, 1):
         ratios = search_costs(members, d, branch)
@@ -156,14 +148,11 @@ def _measured_ratios(
     return best
 
 
-def competitive_ratio_measured(
-    strategy: Strategy, grid: Optional[TargetGrid] = None
-) -> float:
-    """Brute-force competitive ratio: max of search_cost/d over the grid
-    distances and one ulp past each of the strategy's own turn points, on
-    both branches, restricted to targets the prefix actually finds.  The
-    grid defaults to distance 1 alone."""
-    return float(_measured_ratios(Members.stack(strategy), grid)[0])
+def competitive_ratio_measured(strategy: Strategy) -> float:
+    """Brute-force competitive ratio: max of search_cost/d over distance 1
+    and one ulp past each of the strategy's own turn points, on both
+    branches, restricted to targets the prefix actually finds."""
+    return float(_measured_ratios(Members.stack(strategy))[0])
 
 
 def evaluate_hinted(

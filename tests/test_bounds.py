@@ -27,11 +27,7 @@ from cowpath.bounds import (
     robust_base_grid,
     robust_base_interval,
 )
-from cowpath.model import (
-    Strategy,
-    make_geometric,
-    strategy_from_lengths,
-)
+from cowpath.model import make_geometric, strategy_from_lengths
 
 
 class TestPositionBound:
@@ -298,7 +294,7 @@ class TestBuildFrontiers:
 
     def test_single_class_curves(self):
         rs = [9.0, 10.0]
-        curves = build_frontiers(rs, ks=(3,))
+        curves = build_frontiers(rs, k=3)
         for curve, k in zip(curves, (2, 2, 2, 3)):
             assert frontier_curve(curve.hint_class, rs, k) == curve
         assert frontier_curve("position", rs, 5).k is None
@@ -307,18 +303,13 @@ class TestBuildFrontiers:
 
     def test_huge_budgets_finite(self):
         # rho(r)**2 overflows past r ~ 2.7e154; b_r must not turn into nan
-        csv = frontier_to_csv(build_frontiers([1e200, 1e308], ks=(3,)))
+        csv = frontier_to_csv(build_frontiers([1e200, 1e308], k=3))
         assert "nan" not in csv
         rows = {tuple(line.split(",")[:3]): line for line in csv.splitlines()[1:]}
         assert rows["position", "", "1e+200"] == "position,,1e+200,1,1,,"
         assert rows["position", "", "1e+308"] == "position,,1e+308,1,1,,"
         assert rows["onebit", "1", "1e+308"].split(",")[4] == "3"
         assert base_for_robustness(1e308) == robust_base_interval(1e308)[1] > 1e307
-
-    def test_extra_k_curves(self):
-        curves = build_frontiers([9.0, 10.0], ks=(2, 3))
-        assert [c.k for c in curves] == [None, None, 1, 2, 3]
-        assert all(len(c.points) == 2 for c in curves)
 
 
 class TestFrontierTypes:

@@ -194,6 +194,31 @@ class TestEval:
         assert "hint distance" in err and "past horizon 3" in err
 
     @pytest.mark.parametrize(
+        "family,params", [("kbit", "r=9,k=2"), ("direction", "b=2,delta=1")]
+    )
+    def test_horizon_short_of_distance_one_exits_3(self, capsys, family, params):
+        # too short a horizon exits 3, as for position hints past it
+        code, out, err = run(
+            capsys, "eval", "--family", family, "--r-params", params,
+            "--horizon", "1",
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "error: family horizon does not reach distance 1 on both branches\n"
+        )
+
+    @pytest.mark.parametrize("length", [True, "3"], ids=["bool", "string"])
+    def test_json_length_must_be_a_number(self, capsys, length):
+        segments = [{"length": length, "branch": 0}, {"length": 2, "branch": 1}]
+        code, out, err = run(
+            capsys, "eval", "--json", json.dumps({"segments": segments})
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: segments[0]: segment length must be a number, got {length!r}\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv,names",
         [
             (("--geometric", "b=2", "n=2000"), "b=2, n=2000"),
@@ -415,6 +440,18 @@ class TestFrontier:
         code, out, err = run(capsys, "frontier", "--class", "position", "--r", "9:19:1")
         assert code == 2 and out == "" and "at most 10 points" in err
 
+    def test_range_that_repeats_a_budget(self, capsys):
+        # the step 1 is below the float spacing 2 at 1e16: a budget repeats
+        code, out, err = run(
+            capsys, "frontier", "--class", "position",
+            "--r", "1e16:1.0000000000000002e16:1",
+        )
+        assert code == 2 and out == ""
+        assert err.endswith(
+            "argument --r: range step is below the float spacing and repeats "
+            "a budget, got '1e16:1.0000000000000002e16:1'\n"
+        )
+
     def test_range_includes_stop(self, capsys):
         code, out, _ = run(
             capsys, "frontier", "--class", "position", "--r", "9:11:1"
@@ -585,6 +622,18 @@ class TestConfig:
         assert err == (
             "error: config field 'r' (--r): range needs stop >= start and "
             "step > 0, got '9:1:1'\n"
+        )
+
+    def test_range_that_repeats_a_budget(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": "1e16:1.0000000000000002e16:1"}))
+        code, out, err = run(
+            capsys, "frontier", "--class", "position", "--config", str(cfg)
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: config field 'r' (--r): range step is below the float "
+            "spacing and repeats a budget, got '1e16:1.0000000000000002e16:1'\n"
         )
 
     @pytest.mark.parametrize(

@@ -105,26 +105,24 @@ class TestPositionHintStrategy:
         assert s.lengths[63] == 2.0**63
 
     def test_family_descriptor(self):
-        fam = position_family(9.0, max_hint_distance=2.0**10, hints_per_decade=16)
+        fam = position_family(9.0, hints_per_decade=16)
         assert fam.family == "position" and fam.r == 9.0
         assert fam.true_hint_of is position_true_hint
         hints = fam.hint_space
         assert {h.branch for h in hints} == {0, 1}
         assert min(h.distance for h in hints) == 1.0
-        assert max(h.distance for h in hints) == pytest.approx(2.0**10)
+        assert max(h.distance for h in hints) == pytest.approx(2.0**20)
+        assert len(hints) == 2 * 97  # 16 per decade over log10(2**20) decades
         member = fam.select(hints[0])
         assert search_cost(member, Target(hints[0].distance, hints[0].branch))
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"max_hint_distance": math.inf}, "max_hint_distance must be finite"),
-            ({"max_hint_distance": math.nan}, "max_hint_distance must be finite"),
-            ({"max_hint_distance": 0.5}, r"max_hint_distance .* >= 1, got 0\.5"),
             ({"hints_per_decade": math.inf}, "hints_per_decade must be finite"),
             ({"hints_per_decade": 0}, r"hints_per_decade .* > 0, got 0"),
         ],
-        ids=["inf", "nan", "below-1", "hints-inf", "hints-0"],
+        ids=["hints-inf", "hints-0"],
     )
     def test_family_inputs_name_their_parameter(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

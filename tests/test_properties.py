@@ -553,19 +553,19 @@ def _numpy_prefix_margins(x, b):
 @given(
     s=alternating_strategies(),
     r=st.floats(min_value=9.0, max_value=1e4, **finite),
-    points=st.integers(min_value=0, max_value=40),
 )
-@example(s=make_geometric(2.0, 101), r=9.0, points=20)
-@example(s=strategy_from_lengths([1.0, 100.0]), r=9.0, points=1)
-def test_pure_python_checks_match_numpy(s, r, points):
+@example(s=make_geometric(2.0, 101), r=9.0)
+@example(s=strategy_from_lengths([1.0, 100.0]), r=9.0)
+def test_pure_python_checks_match_numpy(s, r):
     # the numpy formulas the checks used, kept here as the oracle; the same
     # IEEE operations in the same order give equal floats
     lo, hi = robust_base_interval(r)
-    assert robust_base_grid(r, points) == np.linspace(lo, hi, points).tolist()
+    assert robust_base_grid(r) == np.linspace(lo, hi, 20).tolist()
     b = base_for_robustness(r)
-    tolerance = 1e-9
-    growth = check_segment_growth_lemma(s, r, tolerance)
-    prefix = check_prefix_sum_bound(s, r, tolerance)
+    growth = check_segment_growth_lemma(s, r)
+    prefix = check_prefix_sum_bound(s, r)
+    tolerance = 1e-9  # the checks' one margin tolerance
+    assert growth.tolerance == prefix.tolerance == tolerance
     want, tail_index = _numpy_prefix_margins(s.lengths, b)
     assert prefix.tail_index == tail_index
     for report, margins in ((growth, _numpy_growth_margins(s.lengths, b)),

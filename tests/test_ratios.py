@@ -102,16 +102,11 @@ class TestMeasured:
         for s in random_alternating_strategies(40, seed=5):
             assert competitive_ratio_measured(s) <= competitive_ratio(s) + 1e-9
 
-    def test_explicit_grid(self):
-        s = make_geometric(2.0, 8)
-        grid = TargetGrid((1.0, 3.0, 5.0))
-        # own turn points are always merged in, so the result is >= grid-only
-        assert competitive_ratio_measured(s, grid) >= 1 + 2 * 3 / 5.0
-
     def test_empty_effective_grid(self):
-        s = Strategy([2.0], [0])
+        # every length below 1: no segment finds distance 1 or a probe
+        s = Strategy([0.5, 0.5, 0.75], [0, 1, 0])
         with pytest.raises(ValueError, match="empty effective grid"):
-            competitive_ratio_measured(s, TargetGrid((3.0, 4.0)))
+            competitive_ratio_measured(s)
 
 
 def _settled(strategy):
@@ -188,7 +183,7 @@ class TestGrids:
 
     def test_family_grid_unreachable_branch(self):
         s = Strategy([0.5, 2.0, 0.6, 4.0], [0, 1, 0, 1])
-        with pytest.raises(ValueError, match="reach distance 1"):
+        with pytest.raises(HorizonTooShort, match="reach distance 1"):
             family_grid([s])
 
     def test_family_grid_needs_members(self):
