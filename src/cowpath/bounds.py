@@ -149,11 +149,11 @@ _MAX_K = 511  # largest k with (1 + 2**k)**2 a finite float
 def kbit_base(r: float, k: int) -> float:
     """Growth base of the k-bit family: b_r while rho(r) stays below
     (1+2**k)**2 / 2**k, then the constant 1 + 2**k."""
+    if not 1 <= k <= _MAX_K:  # k as given: int(1e300) would print 301 digits
+        bound = ">= 1" if k < 1 else f"<= {_MAX_K}"
+        got = repr(k) if isinstance(k, int) else f"{k:.15g}"
+        raise ValueError(f"k must be {bound}, got {got}")
     k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
-    if k > _MAX_K:
-        raise ValueError(f"k must be <= {_MAX_K}, got {k!r}")
     p = rho(r)
     threshold = (1.0 + 2.0**k) ** 2 / 2.0**k
     if p <= threshold:

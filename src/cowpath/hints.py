@@ -35,6 +35,7 @@ from .model import (
     Strategy,
     Target,
     _alternating_rows,
+    _distinct,
     _shortest_reach,
     cheapest_search_costs,
     search_costs,
@@ -364,7 +365,7 @@ def preferred_partition(
         raise HorizonTooShort(
             f"max_distance {max_distance} exceeds the family reach {reach}"
         )
-    breakpoints = np.unique(members.lengths)  # the NaN padding fails both tests
+    breakpoints = _distinct(members.lengths)  # the NaN padding fails both tests
     breakpoints = breakpoints[(breakpoints > 1.0) & (breakpoints < max_distance)]
     bounds = np.concatenate(([1.0], breakpoints, [max_distance]))
     mids = np.maximum(1.0, 0.5 * (bounds[:-1] + bounds[1:]))
@@ -411,7 +412,7 @@ def family_from_json(obj: object, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     k = need("k")
     if not (isinstance(k, int) or k.is_integer()):
         raise ValueError(f"field 'k' must be an integer, got {k!r}")
-    return kbit_family(float(need("r")), int(k), horizon)
+    return kbit_family(float(need("r")), k, horizon)  # kbit_base range-checks k
 
 
 def partition_to_json(partition: LinePartition) -> dict:

@@ -154,8 +154,12 @@ def strategy_from_lengths(
 
 def _alternating_rows(lengths: np.ndarray, first_branches) -> Callable[[int], Strategy]:
     """Alternating-branch strategies, one per row of ``lengths`` (taken over,
-    not copied), row i starting on first_branches[i], checked in one pass.
-    Returns row(i): strategy i, its arrays read-only views of the record."""
+    not copied, unless it is a view), row i starting on first_branches[i],
+    checked in one pass.  Returns row(i): strategy i, its arrays read-only
+    views of the record, tagged with i so that Members.stack can adopt the
+    record."""
+    if lengths.base is not None:  # the rows' base must be the record itself
+        lengths = lengths.copy()
     patterns = np.arange(2)[:, None] + np.arange(lengths.shape[1])
     patterns %= 2  # pattern b starts on branch b
     _check_rows(lengths, patterns)
@@ -166,6 +170,7 @@ def _alternating_rows(lengths: np.ndarray, first_branches) -> Callable[[int], St
         strategy = object.__new__(Strategy)  # checked above: no copy, no check
         object.__setattr__(strategy, "lengths", lengths[i])
         object.__setattr__(strategy, "branches", patterns[first_branches[i]])
+        object.__setattr__(strategy, "_row", i)
         return strategy
 
     return row
@@ -282,18 +287,28 @@ class Members:
 
     @classmethod
     def stack(cls, strategies: Union[Strategy, Iterable[Strategy], Members]) -> Members:
-        """The record of one strategy or several, in order; a record passes through."""
+        """The record of one strategy or several, in order; a record passes
+        through.  All the rows of one _alternating_rows record, in order,
+        are of one length: that record is adopted as ``lengths``, not copied."""
         if isinstance(strategies, Members):
             return strategies
         rows = [strategies] if isinstance(strategies, Strategy) else list(strategies)
-        sizes = np.array([len(s) for s in rows], dtype=np.int64)
-        inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
-        lengths = np.full(inside.shape, np.nan)
-        branches = np.full(inside.shape, -1, dtype=np.int8)
-        if rows:
-            lengths[inside] = np.concatenate([s.lengths for s in rows])
-            branches[inside] = np.concatenate([s.branches for s in rows])
-        sums = np.zeros((sizes.size, inside.shape[1] + 1))
+        record = rows[0].lengths.base if rows else None
+        if record is not None and len(record) == len(rows) and all(
+            s.lengths.base is record and getattr(s, "_row", None) == i
+            for i, s in enumerate(rows)
+        ):
+            lengths = record
+            branches = np.array([s.branches for s in rows], dtype=np.int8)
+        else:
+            sizes = np.array([len(s) for s in rows], dtype=np.int64)
+            inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
+            lengths = np.full(inside.shape, np.nan)
+            branches = np.full(inside.shape, -1, dtype=np.int8)
+            if rows:
+                lengths[inside] = np.concatenate([s.lengths for s in rows])
+                branches[inside] = np.concatenate([s.branches for s in rows])
+        sums = np.zeros((len(rows), lengths.shape[1] + 1))
         np.cumsum(lengths, axis=1, out=sums[:, 1:])
         for a in (lengths, branches, sums):
             a.flags.writeable = False
@@ -315,6 +330,16 @@ def _shortest_reach(members: Members) -> float:
         float(np.min(np.max(np.where(branches == b, lengths, 0.0), axis=1)))
         for b in (0, 1)
     )
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique without the numpy.ma import it brings: the values, flattened
+    and sorted, each kept once; every NaN is kept (NaNs sort last)."""
+    values = np.sort(values, axis=None)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _check_distances(distances) -> np.ndarray:

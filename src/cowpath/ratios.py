@@ -9,6 +9,8 @@ costs just past every turn point.  Hinted families are scored by consistency
 from __future__ import annotations
 
 import math
+import numbers
+import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -16,7 +18,14 @@ import numpy as np
 
 from .bounds import DEFAULT_HORIZON, HorizonTooShort, TradeoffPoint, _admit
 from .hints import HintedStrategy
-from .model import Members, Strategy, _alternating_rows, _shortest_reach, search_costs
+from .model import (
+    Members,
+    Strategy,
+    _alternating_rows,
+    _distinct,
+    _shortest_reach,
+    search_costs,
+)
 
 __all__ = [
     "TargetGrid",
@@ -66,7 +75,7 @@ def family_grid(members: Union[Iterable[Strategy], Members]) -> TargetGrid:
         )
     probes = np.nextafter(members.lengths, np.inf)  # NaN padding yields no probe
     inside = probes[(probes >= 1.0) & (probes <= cap)]
-    return TargetGrid(np.unique(np.append(inside, 1.0)))
+    return TargetGrid(_distinct(np.append(inside, 1.0)))
 
 
 def _cells(members: Members) -> tuple[np.ndarray, np.ndarray]:
@@ -200,15 +209,19 @@ def random_alternating_strategies(
     count: int = 200, seed: int = 0, horizon: int = DEFAULT_HORIZON
 ) -> list[Strategy]:
     """Seeded random geometric strategies: base in (1.5, 4], log-uniform scale
-    in [0.25, 4], random first branch.  Every length is at most 4 * 4**i,
-    the envelope the record is admitted by (so horizon <= 511), before any
-    strategy is built.  The strategies are the rows of one record, built in
-    one broadcast."""
+    in [0.25, 4], random first branch, drawn in that order per strategy by
+    ``random.Random(seed)``.  Every length is at most 4 * 4**i, the envelope
+    the record is admitted by (so horizon <= 511), before any strategy is
+    built.  The strategies are the rows of one record, built in one
+    broadcast."""
+    # random.Random would also take a float, a string or None as its seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     horizon = _admit(int(count), horizon, 4.0, 4.0, f"count={count}", "--count")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(int(seed))
     low, high = math.log(0.25), math.log(4.0)
     draws = [
-        (4.0 - rng.uniform(0.0, 2.5), np.exp(rng.uniform(low, high)), rng.integers(2))
+        (4.0 - rng.uniform(0.0, 2.5), math.exp(rng.uniform(low, high)), rng.randrange(2))
         for _ in range(int(count))
     ]
     bases, scales, firsts = np.array(draws).reshape(-1, 3).T[:, :, None]

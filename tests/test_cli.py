@@ -207,6 +207,20 @@ class TestEval:
             "error: family horizon does not reach distance 1 on both branches\n"
         )
 
+    @pytest.mark.parametrize(
+        "k,got",
+        [("1e300", "<= 511, got 1e+300"), ("-1e300", ">= 1, got -1e+300"),
+         ("600", "<= 511, got 600"), ("0", ">= 1, got 0")],
+        ids=["huge", "huge-negative", "600", "0"],
+    )
+    def test_kbit_k_out_of_range_quotes_the_given_number(self, capsys, k, got):
+        # range-checked before int(): int(1e300) has 301 digits
+        code, out, err = run(
+            capsys, "eval", "--family", "kbit", "--r-params", f"r=9,k={k}"
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: k must be {got}\n"
+
     @pytest.mark.parametrize("length", [True, "3"], ids=["bool", "string"])
     def test_json_length_must_be_a_number(self, capsys, length):
         segments = [{"length": length, "branch": 0}, {"length": 2, "branch": 1}]
@@ -769,6 +783,43 @@ class TestTopLevel:
                 [sys.executable, *argv], env=env, capture_output=True, text=True
             )
             assert result.returncode == expected, (argv, result.stderr)
+
+    def test_numpy_commands_load_only_numpys_core(self):
+        # one fresh interpreter: after each numpy command and library call,
+        # neither numpy.random nor numpy.ma may have been imported
+        code = (
+            "import contextlib, io, sys\n"
+            "from cowpath import cli, hints, ratios\n"
+            "def check(step):\n"
+            "    loaded = {'numpy.random', 'numpy.ma'} & set(sys.modules)\n"
+            "    assert not loaded, (step, loaded)\n"
+            "commands = [\n"
+            "    ['eval', '--geometric', 'b=2.5'],\n"
+            "    ['eval', '--family', 'kbit', '--r-params', 'r=12,k=6'],\n"
+            "    ['eval', '--family', 'direction', '--r-params', 'b=2,delta=0.6'],\n"
+            "    ['eval', '--family', 'position', '--r-params', 'r=9'],\n"
+            "    ['partition', '--r', '9', '--k', '4', '--max', '1e6'],\n"
+            "    ['verify', '--seed', '3'],\n"
+            "]\n"
+            "for argv in commands:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    check(argv)\n"
+            "families = [hints.position_family(9.0), hints.direction_family(2.0, 0.5),\n"
+            "            hints.kbit_family(9.0, 4)]\n"
+            "for family in families:\n"
+            "    ratios.evaluate_hinted(family)\n"
+            "    check(family.family)\n"
+            "hints.preferred_partition(9.0, 4, 1e6)\n"
+            "check('preferred_partition')\n"
+            "ratios.oracle_equivalence_gaps(200, 5)\n"
+            "check('oracle_equivalence_gaps')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_first_lookup_binds_every_name(self):
         code = (

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and the package
+uses only numpy's core.
 
 A removed option or function tends to leave its imports behind (a typing
 name, a helper); this check, built on the stdlib ``ast`` module only, finds
@@ -55,3 +56,51 @@ def test_unused_import_is_found():
         "x: Seq[int] = []\n"
     )
     assert _unused_imports(tree) == ["os (line 2)"]
+
+
+# Each loads a numpy submodule: np.random loads numpy.random, and np.ma and
+# np.unique load numpy.ma.
+_NUMPY_SUBMODULE_NAMES = {"random", "ma", "unique"}
+PACKAGE = sorted((ROOT / "src" / "cowpath").glob("*.py"))
+
+
+def _numpy_submodule_uses(tree: ast.Module) -> list[str]:
+    """The references to np.random, np.ma or np.unique, in any spelling:
+    attributes of ``np`` or ``numpy`` and imports from numpy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [node.value.id, node.attr]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [*node.module.split("."), *(alias.name for alias in node.names)]
+        else:
+            continue
+        used = _NUMPY_SUBMODULE_NAMES.intersection(names[1:])
+        if names[0] in ("np", "numpy") and used:
+            found.append(f"{names[0]}.{min(used)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_uses_only_numpys_core(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _numpy_submodule_uses(tree) == []
+
+
+def test_numpy_submodule_use_is_found():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "import numpy.ma\n"
+        "from numpy import unique\n"
+        "from numpy.random import default_rng\n"
+        "np.sort(np.random.default_rng(0).random(3))\n"
+        "random.Random(0)\n"
+    )
+    assert _numpy_submodule_uses(tree) == [
+        "numpy.ma (line 2)",
+        "numpy.unique (line 3)",
+        "numpy.random (line 4)",
+        "np.random (line 5)",
+    ]

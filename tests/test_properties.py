@@ -3,6 +3,7 @@ and every batched fast path against its scalar reference."""
 
 import decimal
 import math
+import random
 import re
 import sys
 import warnings
@@ -36,6 +37,7 @@ from cowpath.model import (
     PositionHint,
     Strategy,
     Target,
+    _distinct,
     cheapest_search_costs,
     make_geometric,
     scale_strategy,
@@ -209,11 +211,11 @@ def test_member_records_match_the_per_member_rules(
         check(family.select(hint), lengths, first)
         check(position_hint_strategy(r, hint, horizon), lengths, first)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for member in random_alternating_strategies(5, seed, horizon):
         base = 4.0 - rng.uniform(0.0, 2.5)
-        scale = float(np.exp(rng.uniform(math.log(0.25), math.log(4.0))))
-        check(member, scale * np.power(base, steps), int(rng.integers(0, 2)))
+        scale = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+        check(member, scale * np.power(base, steps), rng.randrange(2))
 
 
 @st.composite
@@ -337,6 +339,52 @@ def test_batched_trusted_cost_matches_scalar_rule(family, ds):
                 if c is not None
             )
             assert cost == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e300, math.inf])
+        | st.floats(allow_nan=False),
+        max_size=40,
+    ),
+    nans=st.integers(min_value=0, max_value=3),
+    rows=st.sampled_from([1, 2]),
+)
+def test_distinct_matches_np_unique(values, nans, rows):
+    """np.unique stays the reference: the same values, bit for bit, after
+    the NaNs, which _distinct keeps one by one at the end."""
+    x = np.array(values + [math.nan] * nans, dtype=float)
+    if x.size % rows == 0:
+        x = x.reshape(rows, -1)
+    got = _distinct(x)
+    finite = x[~np.isnan(x)]
+    assert _same(got[: got.size - nans], np.unique(finite))
+    assert np.isnan(got[got.size - nans :]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=hinted_families(), seed=st.integers(min_value=0, max_value=99),
+       data=st.data())
+def test_stack_adopts_a_whole_record_and_copies_any_other_rows(family, seed, data):
+    """The rows of one record, all of them in order, are stacked without a
+    copy; any other selection is padded and copied.  Both give the record
+    the untagged strategies give, bit for bit."""
+    for rows in ([family.select(h) for h in family.hint_space],
+                 random_alternating_strategies(3, seed, 8)):
+        record = rows[0].lengths.base
+        picked = data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=6))
+        for chosen in (rows, picked):
+            members = Members.stack(chosen)
+            if chosen is rows:
+                assert members.lengths is record
+            elif len(picked) != len(rows) or any(
+                a is not b for a, b in zip(picked, rows)
+            ):
+                assert members.lengths is not record
+            fresh = Members.stack([Strategy(s.lengths, s.branches) for s in chosen])
+            for got, want in zip(vars(members).values(), vars(fresh).values()):
+                assert _same(got, want)
 
 
 @settings(max_examples=25, deadline=None)

@@ -340,6 +340,18 @@ class TestOracleEquivalence:
         b = random_alternating_strategies(5, seed=42)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.5, 2.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # random.Random would hash a float or a string into a seed
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        for draw in (random_alternating_strategies, oracle_equivalence_gaps):
+            with pytest.raises(ValueError) as info:
+                draw(5, seed)
+            assert str(info.value) == message
+        assert random_alternating_strategies(2, np.int64(7)) == (
+            random_alternating_strategies(2, 7)
+        )
+
     def test_growth_band(self):
         for s in random_alternating_strategies(50, seed=1):
             ratios = s.lengths[1:] / s.lengths[:-1]
