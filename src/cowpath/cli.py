@@ -66,18 +66,31 @@ def _parse_r_range(text: str) -> tuple[float, ...]:
     return rs
 
 
-def _kv_pairs(items: Sequence[str], what: str) -> dict[str, float]:
+def _kv_pairs(
+    items: Sequence[str], flag: str, fields: dict, where: str
+) -> dict[str, float]:
+    """KEY=VALUE entries as floats, each key once and one of ``fields``
+    (name -> default, None if required); returns every field's value.
+    Errors in the text name ``flag``, errors in the fields ``where``."""
     out: dict[str, float] = {}
     for item in items:
         key, sep, value = item.partition("=")
         key = key.strip()
         if not sep or not key:
-            raise ValueError(f"{what} entries must be key=value, got {item!r}")
+            raise ValueError(f"{flag} entries must be key=value, got {item!r}")
+        if key in out:
+            raise ValueError(f"{flag} repeats field '{key}'")
         try:
             out[key] = float(value)
         except ValueError:
-            raise ValueError(f"{what} field '{key}' must be a number, got {value!r}")
-    return out
+            raise ValueError(f"{flag} field '{key}' must be a number, got {value!r}")
+    unknown = sorted(set(out) - set(fields))
+    if unknown:
+        raise ValueError(f"{where} has no field '{unknown[0]}'")
+    for key, default in fields.items():
+        if default is None and key not in out:
+            raise ValueError(f"{where} needs field '{key}'")
+    return {**fields, **out}
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -103,7 +116,8 @@ def _print_strategy_report(strategy) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .hints import family_from_json
+    from .bounds import _MAX_SEGMENTS  # the limit make_geometric admits now
+    from .hints import direction_family, kbit_family, position_family
     from .model import make_geometric, strategy_from_json
     from .ratios import evaluate_hinted
 
@@ -120,18 +134,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _print_strategy_report(strategy_from_json(json.loads(args.json)))
         return 0
     if args.geometric is not None:
-        params = _kv_pairs(args.geometric, "--geometric")
-        unknown = set(params) - {"b", "n", "scale", "first"}
-        if unknown:
-            raise ValueError(f"--geometric has no field '{sorted(unknown)[0]}'")
-        if "b" not in params:
-            raise ValueError("--geometric needs field 'b'")
-        b, n = params["b"], params.get("n", float(DEFAULT_HORIZON))
+        fields = {"b": None, "n": float(DEFAULT_HORIZON), "scale": 1.0, "first": 0.0}
+        params = _kv_pairs(args.geometric, "--geometric", fields, "--geometric")
+        b, n, scale, first = params.values()
         if not (n >= 1 and n.is_integer()):
             raise ValueError(
                 f"--geometric field 'n' must be an integer >= 1, got {n:g}"
             )
-        first, scale = params.get("first", 0.0), params.get("scale", 1.0)
+        if n > _MAX_SEGMENTS:  # n as given: int(1e300) would print 301 digits
+            raise ValueError(
+                f"--geometric field 'n' must be <= {_MAX_SEGMENTS}, got {n:.15g}"
+            )
         if first not in (0.0, 1.0):
             raise ValueError(
                 f"--geometric field 'first' must be 0 or 1, got {first:g}"
@@ -142,10 +155,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"--geometric b={b:g}, n={int(n)}: {exc}") from None
         _print_strategy_report(strategy)
         return 0
-    descriptor: dict = {"family": args.family}
+    builder, names = {
+        "position": (position_family, ("r",)),
+        "direction": (direction_family, ("b", "delta")),
+        "kbit": (kbit_family, ("r", "k")),
+    }[args.family]
     pairs = args.r_params.split(",") if args.r_params else []
-    descriptor.update(_kv_pairs(pairs, "--r-params"))
-    family = family_from_json(descriptor, args.horizon)
+    params = _kv_pairs(
+        pairs, "--r-params", dict.fromkeys(names), f"family '{args.family}'"
+    )
+    if "k" in params and not params["k"].is_integer():
+        raise ValueError(f"field 'k' must be an integer, got {params['k']!r}")
+    family = builder(*params.values(), args.horizon)  # kbit_base range-checks k
     point = evaluate_hinted(family)
     print(f"consistency={point.consistency:.6f} robustness={point.robustness:.6f}")
     print(f"method={point.method} converged={'true' if point.converged else 'false'}")
@@ -325,9 +346,36 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-_CONFIG_ALIASES = {"class": "hint_class", "json": "json_out", "csv": "csv_out"}
-_INT_FLAGS = ("k", "horizon", "count", "seed")
-_FLOAT_FLAGS = ("r", "max")
+def _config_value(action: argparse.Action, key: str, value: object) -> object:
+    """A config value read as the flag's text would be: a string (for a
+    nargs="+" flag, also a list of them), or for a typed flag also a number,
+    put through the flag's type and checked against its choices."""
+    flag = action.option_strings[0] if action.option_strings else action.dest
+    field = f"config field '{key}' ({flag})"
+    many = action.nargs == "+"
+    kind = {None: "a string", int: "an integer"}.get(action.type, "a number")
+    if many:
+        kind += " or a list of strings"
+    bad = f"{field} must be {kind}, got {value!r}"
+    items = value if many and isinstance(value, list) else [value]
+    allowed = str if action.type is None else (str, int, float)
+    # float(True) is 1.0: a bool would pass as a number
+    if not items or any(isinstance(x, bool) or not isinstance(x, allowed)
+                        for x in items):
+        raise ValueError(bad)
+    if action.type is int and isinstance(value, float) and value.is_integer():
+        value = int(value)  # 3.0 reads as the flag text "3"
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{field}: {exc}") from None
+        except ValueError:
+            raise ValueError(bad) from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(action.choices)
+        raise ValueError(f"{field} must be one of {choices}, got {value!r}")
+    return items if many else value
 
 
 def _apply_config(
@@ -336,44 +384,24 @@ def _apply_config(
     args: argparse.Namespace,
     argv: Sequence[str],
 ) -> argparse.Namespace:
+    """Set the subcommand's defaults from the config file, each key read
+    through the action of the flag it names (the option without `--`, or a
+    positional's dest), then parse ``argv`` again so explicit flags win."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
-    known = set(vars(args)) - {"func", "command", "config"}
+    actions = {
+        action.option_strings[0][2:] if action.option_strings else action.dest: action
+        for action in subparser._actions
+        if action.dest not in ("help", "config")
+    }
     defaults = {}
     for key, value in config.items():
-        dest = key.replace("-", "_")
-        dest = _CONFIG_ALIASES.get(dest, dest)
-        if dest not in known:
+        if key not in actions:
             raise ValueError(f"config has no matching flag for field '{key}'")
-        bad_number = f"config field '{key}' (--{dest}) must be a number, got {value!r}"
-        if dest in _FLOAT_FLAGS and isinstance(value, bool):
-            # float(True) is 1.0: a bool would pass as a number
-            raise ValueError(bad_number)
-        if dest == "r" and args.command == "frontier":
-            try:
-                value = _parse_r_range(str(value))
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"config field 'r' (--r): {exc}") from None
-        elif dest in _FLOAT_FLAGS:
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ValueError(bad_number) from None
-        elif dest in _INT_FLAGS and not isinstance(value, str):
-            # argparse parses a string default with the flag's type, and
-            # passes any other value as it is
-            integral = isinstance(value, int) or (
-                isinstance(value, float) and value.is_integer()
-            )
-            if isinstance(value, bool) or not integral:
-                raise ValueError(
-                    f"config field '{key}' (--{dest}) must be an integer, "
-                    f"got {value!r}"
-                )
-            value = int(value)
-        defaults[dest] = value
+        action = actions[key]
+        defaults[action.dest] = _config_value(action, key, value)
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 

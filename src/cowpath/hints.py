@@ -55,7 +55,6 @@ __all__ = [
     "kbit_family",
     "best_hint_index",
     "preferred_partition",
-    "family_from_json",
     "partition_to_json",
 ]
 
@@ -379,40 +378,6 @@ def preferred_partition(
         los, his = bounds[starts].tolist(), bounds[ends].tolist()
         sides.append(tuple(map(LabeledInterval, los, his, labels[starts].tolist())))
     return LinePartition(*sides)
-
-
-def family_from_json(obj: object, horizon: int = DEFAULT_HORIZON) -> HintedStrategy:
-    """Parse a family descriptor; errors name the offending field."""
-    if not isinstance(obj, dict):
-        raise ValueError("family JSON must be an object")
-    if "family" not in obj:
-        raise ValueError("family JSON is missing field 'family'")
-    name = obj["family"]
-    fields = {"position": ("r",), "direction": ("b", "delta"), "kbit": ("r", "k")}
-    if not isinstance(name, str) or name not in fields:
-        raise ValueError(
-            f"field 'family' must be 'position', 'direction' or 'kbit', got {name!r}"
-        )
-    unknown = sorted(set(obj) - {"family", *fields[name]}, key=str)
-    if unknown:
-        raise ValueError(f"family '{name}' has no field '{unknown[0]}'")
-
-    def need(key: str) -> float:
-        if key not in obj or obj[key] is None:
-            raise ValueError(f"family '{name}' needs field '{key}'")
-        value = obj[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"field '{key}' must be a number, got {value!r}")
-        return value
-
-    if name == "position":
-        return position_family(float(need("r")), horizon)
-    if name == "direction":
-        return direction_family(float(need("b")), float(need("delta")), horizon)
-    k = need("k")
-    if not (isinstance(k, int) or k.is_integer()):
-        raise ValueError(f"field 'k' must be an integer, got {k!r}")
-    return kbit_family(float(need("r")), k, horizon)  # kbit_base range-checks k
 
 
 def partition_to_json(partition: LinePartition) -> dict:

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from cowpath import bounds, cli, ratios
 from cowpath.cli import main
-from cowpath.hints import direction_family
-from cowpath.model import DirectionHint, strategy_to_json
+from cowpath.hints import direction_family, kbit_family, position_family
+from cowpath.model import DirectionHint, make_geometric, strategy_to_json
 
 
 def run(capsys, *argv):
@@ -147,6 +147,32 @@ class TestEval:
             capsys, "eval", "--family", "direction", "--r-params", "b=x,delta=1"
         )
         assert code == 2 and "must be a number" in err
+        code, out, err = run(
+            capsys, "eval", "--family", "kbit", "--r-params", "r=9,k=two"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --r-params field 'k' must be a number, got 'two'\n"
+        code, out, err = run(capsys, "eval", "--family", "mystery")
+        assert code == 2 and out == "" and "invalid choice: 'mystery'" in err
+
+    @pytest.mark.parametrize(
+        "family,params,builder",
+        [
+            ("position", "r=9", lambda: position_family(9.0)),
+            ("direction", "b=2,delta=0.5", lambda: direction_family(2.0, 0.5)),
+            ("kbit", "r=9,k=2", lambda: kbit_family(9.0, 2)),
+            ("kbit", "k=3,r=9.5", lambda: kbit_family(9.5, 3)),
+            ("kbit", "r=9,k=2.0", lambda: kbit_family(9.0, 2)),  # an integral k
+        ],
+        ids=["position", "direction", "kbit", "kbit-any-order", "kbit-k-2.0"],
+    )
+    def test_family_is_its_builder(self, capsys, family, params, builder):
+        point = ratios.evaluate_hinted(builder())
+        code, out, err = run(capsys, "eval", "--family", family, "--r-params", params)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == (
+            f"consistency={point.consistency:.6f} robustness={point.robustness:.6f}"
+        )
 
     @pytest.mark.parametrize(
         "family,params,field",
@@ -154,6 +180,9 @@ class TestEval:
             ("direction", "b=2,delta=1,r=9,horizon=5", "horizon"),
             ("kbit", "r=9,k=2,x=3", "x"),
             ("position", "r=9,k=2", "k"),
+            ("direction", "b=2,delta=1,r=9", "r"),
+            ("kbit", "r=9,k=2,b=2,a=1", "a"),  # the first unknown field by name
+            ("position", "r=9,horizon=8", "horizon"),
         ],
     )
     def test_unknown_family_field(self, capsys, family, params, field):
@@ -175,6 +204,34 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--geometric", "b=2", f"n={n}")
         assert code == 2 and out == ""
         assert f"--geometric field 'n' must be an integer >= 1, got {n}" in err
+
+    @pytest.mark.parametrize(
+        "n,got", [("1e300", "1e+300"), ("2e6", "2000000"), ("1048577", "1048577")]
+    )
+    def test_geometric_count_over_the_budget_quotes_the_given_number(
+        self, capsys, n, got
+    ):
+        # checked before int(): int(1e300) has 301 digits
+        code, out, err = run(capsys, "eval", "--geometric", "b=2", f"n={n}")
+        assert code == 2 and out == ""
+        assert err == f"error: --geometric field 'n' must be <= 1048576, got {got}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--geometric", "b=2", "b=3"), "--geometric repeats field 'b'"),
+            (("--geometric", "b=2", "n=8", "n=8"), "--geometric repeats field 'n'"),
+            (("--family", "kbit", "--r-params", "r=9,k=2,k=3"),
+             "--r-params repeats field 'k'"),
+            (("--family", "position", "--r-params", "r=9,r=10"),
+             "--r-params repeats field 'r'"),
+        ],
+        ids=["geometric", "geometric-same-value", "kbit", "position"],
+    )
+    def test_repeated_field(self, capsys, argv, message):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("first", ["0.7", "2", "-1"])
     def test_geometric_first_must_be_a_branch(self, capsys, first):
@@ -291,8 +348,7 @@ class TestEval:
         )
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr == (
-            "error: --geometric b=1, n=1000000000: count must be <= 1048576, "
-            "got 1000000000 (lower count)\n"
+            "error: --geometric field 'n' must be <= 1048576, got 1000000000\n"
         )
 
     @pytest.mark.parametrize(
@@ -598,7 +654,150 @@ class TestPartition:
         assert code == 3 and "error:" in err
 
 
+_PARTITION = ["--r", "9", "--k", "1", "--max", "16"]
+
+# For each config key of each subcommand: the other arguments the command
+# needs, and a value for the key (not its default).
+_CONFIG_SAMPLES = {
+    "eval": {
+        "file": ([], "strategy.json"),
+        "json": ([], '{"segments": [{"length": 1, "branch": 0}]}'),
+        "geometric": ([], ["b=2.5", "n=16"]),
+        "family": (["--r-params", "b=2,delta=1"], "direction"),
+        "r-params": (["--family", "kbit"], "r=9,k=2"),
+        "horizon": (["--family", "direction", "--r-params", "b=2,delta=0.5"], 16),
+    },
+    "frontier": {
+        "class": (["--r", "9"], "onebit"),
+        "r": (["--class", "position"], "9:10:0.5"),
+        "k": (["--class", "kbit", "--r", "9"], 3),
+        "output": (["--class", "onebit", "--r", "9"], "-"),
+    },
+    "verify": {
+        "suite": ([], "corollary"),
+        "count": (["oracle"], 20),
+        "seed": (["oracle", "--count", "20"], 5),
+    },
+    "partition": {
+        "r": (["--k", "1", "--max", "16"], 10.5),
+        "k": (["--r", "9", "--max", "16"], 2),
+        "max": (["--r", "9", "--k", "1"], 64),
+        "horizon": (_PARTITION, 32),
+        "json": (_PARTITION, "-"),
+        "csv": (_PARTITION, "-"),
+    },
+}
+
+
+def _config_keys():
+    """(command, key, positional) for every argument of every subcommand but
+    help and config: a flag's key is its name without `--`, a positional's
+    its dest."""
+    _, subparsers = cli._build_parser()
+    params = []
+    for command, subparser in subparsers.items():
+        for action in subparser._actions:
+            if action.dest not in ("help", "config"):
+                flag = action.option_strings
+                key = flag[0][2:] if flag else action.dest
+                params.append(pytest.param(command, key, not flag, id=f"{command}-{key}"))
+    return params
+
+
 class TestConfig:
+    @pytest.mark.parametrize("command,key,positional", _config_keys())
+    def test_every_argument_reads_the_same_from_config(
+        self, capsys, tmp_path, monkeypatch, command, key, positional
+    ):
+        monkeypatch.chdir(tmp_path)
+        doubling = strategy_to_json(make_geometric(2.0, 64))
+        (tmp_path / "strategy.json").write_text(json.dumps(doubling))
+        rest, value = _CONFIG_SAMPLES[command][key]
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        texts = value if isinstance(value, list) else [str(value)]
+        given = texts if positional else [f"--{key}", *texts]
+        flag_run = run(capsys, command, *rest, *given)
+        config_run = run(capsys, command, *rest, "--config", "cfg.json")
+        assert flag_run[0] == 0 and flag_run[1] != ""
+        assert config_run[:2] == flag_run[:2]
+
+    @pytest.mark.parametrize(
+        "argv,config,message",
+        [
+            (["verify"], {"suite": ["lemma"]},
+             "config field 'suite' (suite) must be a string, got ['lemma']"),
+            (["frontier", "--class", "onebit", "--r", "9"], {"output": 2},
+             "config field 'output' (--output) must be a string, got 2"),
+            (["frontier", "--class", "onebit", "--r", "9"], {"output": True},
+             "config field 'output' (--output) must be a string, got True"),
+            (["partition", *_PARTITION], {"csv": 1},
+             "config field 'csv' (--csv) must be a string, got 1"),
+            (["eval", "--family", "position"], {"r-params": ["r=9"]},
+             "config field 'r-params' (--r-params) must be a string, got ['r=9']"),
+        ],
+        ids=["suite-list", "output-fd-2", "output-true", "csv-fd-1", "r-params-list"],
+    )
+    def test_wrong_type_exits_2_and_writes_nothing(
+        self, tmp_path, argv, config, message
+    ):
+        # a fresh process: a path given as a number would name a descriptor
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-m", "cowpath", *argv, "--config", str(cfg)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "argv,config,message",
+        [
+            (["eval"], {"geometric": []}, "config field 'geometric' (--geometric) "
+             "must be a string or a list of strings, got []"),
+            (["eval"], {"geometric": ["b=2", 3]}, "config field 'geometric' "
+             "(--geometric) must be a string or a list of strings, got ['b=2', 3]"),
+            (["eval"], {"file": 3},
+             "config field 'file' (--file) must be a string, got 3"),
+            (["frontier", "--r", "9"], {"class": "bogus"},
+             "config field 'class' (--class) must be one of position, direction, "
+             "onebit, kbit, all, got 'bogus'"),
+            (["verify"], {"suite": "bogus"}, "config field 'suite' (suite) must be "
+             "one of lemma, corollary, oracle, all, got 'bogus'"),
+            (["frontier", "--class", "kbit", "--r", "9"], {"k": "2.7"},
+             "config field 'k' (--k) must be an integer, got '2.7'"),
+            (["frontier", "--class", "position"], {"r": "x"},
+             "config field 'r' (--r) must be a number, got 'x'"),
+            (["eval"], {"family": "direction", "r_params": "b=2,delta=1"},
+             "config has no matching flag for field 'r_params'"),
+            (["frontier", "--r", "9"], {"hint_class": "onebit"},
+             "config has no matching flag for field 'hint_class'"),
+            (["partition", *_PARTITION], {"json_out": "-"},
+             "config has no matching flag for field 'json_out'"),
+            (["eval"], {"help": True}, "config has no matching flag for field 'help'"),
+        ],
+        ids=["geometric-empty", "geometric-number", "file-number", "class-choice",
+             "suite-choice", "int-text", "range-text", "r_params", "hint_class",
+             "json_out", "help"],
+    )
+    def test_value_read_as_its_flag_reads_text(
+        self, capsys, tmp_path, argv, config, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_nargs_flag_takes_one_string(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"geometric": "b=2"}))
+        code, out, _ = run(capsys, "eval", "--config", str(cfg))
+        assert code == 0
+        assert out == run(capsys, "eval", "--geometric", "b=2")[1]
+
     def test_defaults_apply(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -15,7 +15,6 @@ from cowpath.hints import (
     best_hint_index,
     direction_family,
     direction_true_hint,
-    family_from_json,
     kbit_family,
     partition_to_json,
     position_family,
@@ -410,54 +409,6 @@ class TestPartition:
                 (LabeledInterval(1.0, 2.0, 0), LabeledInterval(3.0, 4.0, 1)),
                 (LabeledInterval(1.0, 4.0, 0),),
             )
-
-
-class TestFamilyJson:
-    def test_round_trip_descriptors(self):
-        for fam, obj in (
-            (position_family(9.0), {"family": "position", "r": 9.0}),
-            (direction_family(2.0, 0.5), {"family": "direction", "b": 2, "delta": 0.5}),
-            (kbit_family(9.0, 2), {"family": "kbit", "r": 9.0, "k": 2}),
-        ):
-            assert family_from_json(obj) == fam
-
-    def test_descriptor_contents(self):
-        fam = family_from_json({"family": "direction", "b": 2.0, "delta": 0.5})
-        assert (fam.family, fam.r, fam.b, fam.delta, fam.k) == (
-            "direction", None, 2.0, 0.5, None
-        )
-        fam = family_from_json({"family": "kbit", "r": 9.0, "k": 3})
-        assert (fam.family, fam.r, fam.b, fam.delta, fam.k) == (
-            "kbit", 9.0, None, None, 3
-        )
-
-    def test_errors_name_fields(self):
-        with pytest.raises(ValueError, match="'family'"):
-            family_from_json({})
-        with pytest.raises(ValueError, match="needs field 'delta'"):
-            family_from_json({"family": "direction", "b": 2.0})
-        with pytest.raises(ValueError, match="must be a number"):
-            family_from_json({"family": "kbit", "r": 9.0, "k": "two"})
-        with pytest.raises(ValueError, match="'k' must be an integer, got 2.7"):
-            family_from_json({"family": "kbit", "r": 9.0, "k": 2.7})
-        assert family_from_json({"family": "kbit", "r": 9.0, "k": 2.0}).k == 2
-        with pytest.raises(ValueError, match="'position', 'direction' or 'kbit'"):
-            family_from_json({"family": "mystery"})
-        with pytest.raises(ValueError, match="must be an object"):
-            family_from_json([1, 2])
-
-    @pytest.mark.parametrize(
-        "obj,field",
-        [
-            ({"family": "direction", "b": 2.0, "delta": 1.0, "r": 9.0}, "r"),
-            ({"family": "kbit", "r": 9.0, "k": 2, "b": 2.0, "a": 1.0}, "a"),
-            ({"family": "position", "r": 9.0, "horizon": 8}, "horizon"),
-        ],
-    )
-    def test_unknown_fields_rejected(self, obj, field):
-        message = f"family '{obj['family']}' has no field '{field}'"
-        with pytest.raises(ValueError, match=message):
-            family_from_json(obj)
 
 
 class TestPartitionJson:

@@ -32,9 +32,11 @@ def _readme_commands():
 def test_command_line_examples_run(tmp_path):
     commands = _readme_commands()
     assert len(commands) >= 10
-    # the strategy file `eval --file` reads
+    # the strategy file `eval --file` reads, and the config `eval --config` reads
     doubling = strategy_to_json(make_geometric(2.0, 64))
     (tmp_path / "strategy.json").write_text(json.dumps(doubling))
+    family = {"family": "direction", "r-params": "b=2,delta=1"}
+    (tmp_path / "family.json").write_text(json.dumps(family))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     for argv, comment in commands:
         result = subprocess.run(
