@@ -7,13 +7,15 @@ the direction frontier included.
 This module is the package's numpy-free layer: it imports only the
 standard library, so `cowpath --help`, usage errors and `cowpath frontier`
 never load numpy.  The scalar pieces the other modules share (the robust
-base interval, the k-bit base, the parameter checks, the admission rule
-of member records, TradeoffPoint) live here for that reason.
+base interval, the k-bit base, the parameter checks, the integer rule,
+the admission rule of member records, TradeoffPoint) live here for that
+reason.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, count
@@ -85,6 +87,33 @@ def robust_base_interval(r: float) -> tuple[float, float]:
     return (p / hi, hi)
 
 
+def _integer(
+    value: object, name: str, lo: int, hi: float = math.inf, advice: str = ""
+) -> int:
+    """The one rule that reads an integer argument: an int, a numpy integer
+    or an integral float in [lo, hi], returned as an int.  A bool, a string,
+    None, a fraction, nan or inf is refused.  A value out of range is quoted
+    as given; over ``hi``, ``advice`` names the flag(s) to lower."""
+    number = value
+    if type(value) is not int:  # the fast path: each k-bit hint reads two ints
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            integral = isinstance(value, float) and value.is_integer()  # not nan
+            number = int(value) if integral else operator.index(value)  # numpy too
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if lo <= number <= hi:
+        return number
+    # a float by its repr less any '.0': int(1e300) would print 301 digits
+    got = repr(float(value) if isinstance(value, float) else number)
+    got = got.removesuffix(".0")
+    if number < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {got}")
+    lower = f" (lower {advice})" if advice else ""
+    raise ValueError(f"{name} must be <= {hi}, got {got}{lower}")
+
+
 # Bound on rows x horizon, the segments the batched kernels stack (about 220
 # bytes each at peak, so about 230 MB at the bound), and so on the horizon.
 _MAX_SEGMENTS = 2**20
@@ -109,13 +138,7 @@ def _admit(
     2 * (sum of lengths), which bounds every cost and ratio, is finite; rows x
     horizon <= _MAX_SEGMENTS.  Errors quote ``params``, the horizon as
     ``name`` and the flag(s) to ``lower``.  Returns the horizon as an int."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"{name} must be >= 1, got {horizon!r}")
-    if horizon > _MAX_SEGMENTS:
-        raise ValueError(
-            f"{name} must be <= {_MAX_SEGMENTS}, got {horizon!r} (lower {lower})"
-        )
+    horizon = _integer(horizon, name, 1, _MAX_SEGMENTS, lower)
     # ln of 2 * first * base**(horizon - 1) * (1 + 1/base + .. + 1/base**(horizon - 1))
     step = math.log(base)
     tail = math.expm1(-horizon * step) / math.expm1(-step)  # in [1, horizon]
@@ -149,11 +172,7 @@ _MAX_K = 511  # largest k with (1 + 2**k)**2 a finite float
 def kbit_base(r: float, k: int) -> float:
     """Growth base of the k-bit family: b_r while rho(r) stays below
     (1+2**k)**2 / 2**k, then the constant 1 + 2**k."""
-    if not 1 <= k <= _MAX_K:  # k as given: int(1e300) would print 301 digits
-        bound = ">= 1" if k < 1 else f"<= {_MAX_K}"
-        got = repr(k) if isinstance(k, int) else f"{k:.15g}"
-        raise ValueError(f"k must be {bound}, got {got}")
-    k = int(k)
+    k = _integer(k, "k", 1, _MAX_K)
     p = rho(r)
     threshold = (1.0 + 2.0**k) ** 2 / 2.0**k
     if p <= threshold:
@@ -301,7 +320,7 @@ def kbit_consistency_upper(r: float, k: int) -> float:
     """k-bit consistency upper bound 1 + 2 a**(1 + 1/2**k) / (a - 1) with a
     the family base."""
     a = kbit_base(r, k)
-    return 1.0 + 2.0 * a ** (1.0 + 1.0 / 2.0 ** int(k)) / (a - 1.0)
+    return 1.0 + 2.0 * a ** (1.0 + 1.0 / 2.0**k) / (a - 1.0)
 
 
 def onebit_lower(r: float) -> LowerBound:
@@ -438,7 +457,7 @@ def frontier_curve(
         k = 1
         pairs = [(onebit_consistency_upper(r), onebit_lower(r).value) for r in rs]
     elif hint_class == "kbit":
-        k = int(k)
+        k = _integer(k, "k", 1, _MAX_K)
         pairs = [(kbit_consistency_upper(r, k), kbit_floor().value) for r in rs]
     else:
         raise ValueError(f"unknown hint_class {hint_class!r}")

@@ -13,16 +13,18 @@ Three families, each mapping a hint to a member strategy:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bounds import (
     DEFAULT_HORIZON,
+    _MAX_K,
     HorizonTooShort,
     _admit,
     _direction_params,
+    _integer,
     base_for_robustness,
     kbit_base,
 )
@@ -67,7 +69,7 @@ def cheapest_trusted_costs(
     return cheapest_search_costs(members, distances, branch)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HintedStrategy:
     """A strategy family keyed by hints.
 
@@ -82,23 +84,17 @@ class HintedStrategy:
     ``trusted_costs(members, hints, distances, branch)`` is the same rule
     batched: the cost of the trusted member at every distance on one branch
     (NaN or inf where it misses), given the members as one Members record
-    whose row i is ``select(hints[i])``.
+    whose row i is ``select(hints[i])``.  Families compare by identity.
     """
 
     family: str
     horizon: int
-    r: Optional[float] = None
-    b: Optional[float] = None
-    delta: Optional[float] = None
-    k: Optional[int] = None
-    select: Callable[[Hint], Strategy] = field(default=None, compare=False)
-    hint_space: Optional[tuple[Hint, ...]] = field(default=None, compare=False)
-    true_hint_of: Optional[Callable[[Target], object]] = field(
-        default=None, compare=False
-    )
+    select: Callable[[Hint], Strategy]
+    hint_space: tuple[Hint, ...]
+    true_hint_of: Optional[Callable[[Target], object]] = None
     trusted_costs: Callable[
         [Members, tuple[Hint, ...], np.ndarray, int], np.ndarray
-    ] = field(default=cheapest_trusted_costs, compare=False)
+    ] = cheapest_trusted_costs
 
 
 def _position_geometry(
@@ -204,7 +200,6 @@ def position_family(
     return HintedStrategy(
         family="position",
         horizon=horizon,
-        r=float(r),
         select=select,
         hint_space=hint_space,
         true_hint_of=position_true_hint,
@@ -244,8 +239,6 @@ def direction_family(
     return HintedStrategy(
         family="direction",
         horizon=horizon,
-        b=b,
-        delta=delta,
         select=select,
         hint_space=(DirectionHint(0), DirectionHint(1)),
         true_hint_of=direction_true_hint,
@@ -257,8 +250,8 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     """k-bit family: 2**k phase-shifted members; the correct hint is the
     index of the member that finds the target cheapest (the default
     ``trusted_costs`` rule)."""
+    k = _integer(k, "k", 1, _MAX_K)
     a = kbit_base(r, k)
-    k = int(k)
     # member j's lengths a**(i + j/2**k) are at most a**(1 - 2**-k) * a**i
     horizon = _admit(
         2**k, horizon, a ** (1.0 - 2.0**-k), a, f"r={r!r}, k={k}", "--k or --horizon"
@@ -276,8 +269,6 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     return HintedStrategy(
         family="kbit",
         horizon=horizon,
-        r=float(r),
-        k=k,
         select=select,
         hint_space=tuple(BitStringHint(j, k) for j in range(2**k)),
         true_hint_of=None,
@@ -289,20 +280,18 @@ def _kbit_members(r: float, k: int, horizon: int) -> Members:
     return Members.stack([family.select(hint) for hint in family.hint_space])
 
 
-def best_hint_index(
-    r: float, k: int, target: Target, horizon: int = DEFAULT_HORIZON
-) -> BitStringHint:
-    """Index of the member that finds the target cheapest (ties go to the
-    smallest index)."""
+def best_hint_index(r: float, k: int, target: Target) -> BitStringHint:
+    """Index of the member of kbit_family(r, k) that finds the target
+    cheapest (ties go to the smallest index)."""
     _, index = cheapest_search_costs(
-        _kbit_members(r, k, horizon), [target.distance], target.branch
+        _kbit_members(r, k, DEFAULT_HORIZON), [target.distance], target.branch
     )
     if index[0] < 0:
         raise HorizonTooShort(
             f"no member finds target (d={target.distance}, branch="
-            f"{target.branch}) within horizon {horizon}"
+            f"{target.branch}) within horizon {DEFAULT_HORIZON}"
         )
-    return BitStringHint(int(index[0]), int(k))
+    return BitStringHint(int(index[0]), k)
 
 
 @dataclass(frozen=True)
@@ -316,11 +305,9 @@ class LabeledInterval:
     def __post_init__(self) -> None:
         lo = float(self.lo)
         hi = float(self.hi)
-        label = int(self.label)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"bad interval ({self.lo!r}, {self.hi!r}]")
-        if label < 0:
-            raise ValueError(f"label must be >= 0, got {self.label!r}")
+        label = _integer(self.label, "label", 0)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "label", label)

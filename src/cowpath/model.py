@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import _admit
+from .bounds import _MAX_K, _admit, _integer
 
 __all__ = [
     "Strategy",
@@ -245,12 +245,8 @@ class BitStringHint:
     k: int
 
     def __post_init__(self) -> None:
-        k = int(self.k)
-        index = int(self.index)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k!r}")
-        if not 0 <= index < 2**k:
-            raise ValueError(f"index must be in [0, 2**{k}), got {self.index!r}")
+        k = _integer(self.k, "k", 1, _MAX_K)
+        index = _integer(self.index, "index", 0, 2**k - 1)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "k", k)
 

@@ -9,14 +9,20 @@ costs just past every turn point.  Hinted families are scored by consistency
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .bounds import DEFAULT_HORIZON, HorizonTooShort, TradeoffPoint, _admit
+from .bounds import (
+    _MAX_SEGMENTS,
+    DEFAULT_HORIZON,
+    HorizonTooShort,
+    TradeoffPoint,
+    _admit,
+    _integer,
+)
 from .hints import HintedStrategy
 from .model import (
     Members,
@@ -214,29 +220,28 @@ def random_alternating_strategies(
     the record is admitted by (so horizon <= 511), before any strategy is
     built.  The strategies are the rows of one record, built in one
     broadcast."""
-    # random.Random would also take a float, a string or None as its seed
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    horizon = _admit(int(count), horizon, 4.0, 4.0, f"count={count}", "--count")
-    rng = random.Random(int(seed))
+    # random.Random would also hash a float, a string or None into a seed
+    seed = _integer(seed, "seed", 0)
+    count = _integer(count, "count", 0, _MAX_SEGMENTS, "--count")
+    horizon = _admit(count, horizon, 4.0, 4.0, f"count={count}", "--count")
+    rng = random.Random(seed)
     low, high = math.log(0.25), math.log(4.0)
     draws = [
         (4.0 - rng.uniform(0.0, 2.5), math.exp(rng.uniform(low, high)), rng.randrange(2))
-        for _ in range(int(count))
+        for _ in range(count)
     ]
     bases, scales, firsts = np.array(draws).reshape(-1, 3).T[:, :, None]
     lengths = bases ** np.arange(horizon, dtype=float)
     lengths *= scales
     row = _alternating_rows(lengths, firsts[:, 0].astype(int))
-    return [row(i) for i in range(int(count))]
+    return [row(i) for i in range(count)]
 
 
-def oracle_equivalence_gaps(
-    count: int = 200, seed: int = 0, horizon: int = DEFAULT_HORIZON
-) -> np.ndarray:
-    """|closed form - measured| per random strategy; the two evaluators must
-    agree because worst-case targets sit just past turn points."""
-    strategies = random_alternating_strategies(count, seed, horizon)
+def oracle_equivalence_gaps(count: int = 200, seed: int = 0) -> np.ndarray:
+    """|closed form - measured| per random strategy of DEFAULT_HORIZON
+    segments; the two evaluators must agree because worst-case targets sit
+    just past turn points."""
+    strategies = random_alternating_strategies(count, seed)
     if not strategies:
         return np.empty(0)
     members = Members.stack(strategies)

@@ -105,7 +105,9 @@ class TestPositionHintStrategy:
 
     def test_family_descriptor(self):
         fam = position_family(9.0, hints_per_decade=16)
-        assert fam.family == "position" and fam.r == 9.0
+        assert fam.family == "position"
+        # a family compares by identity, never by the parameters it came from
+        assert fam == fam and fam != position_family(9.0, hints_per_decade=16)
         assert fam.true_hint_of is position_true_hint
         hints = fam.hint_space
         assert {h.branch for h in hints} == {0, 1}
@@ -241,7 +243,7 @@ class TestKBit:
         fam = kbit_family(9.0, 2)
         assert len(fam.hint_space) == 4
         assert fam.true_hint_of is None
-        assert fam.k == 2
+        assert {hint.k for hint in fam.hint_space} == {2}
 
     @pytest.mark.parametrize("d,expected", [(1.2, 1), (3.0, 0), (1.0, 0)])
     def test_best_hint_index(self, d, expected):
@@ -263,7 +265,8 @@ class TestKBit:
 
     def test_best_hint_horizon(self):
         with pytest.raises(HorizonTooShort):
-            best_hint_index(9.0, 1, Target(1e6, 0), horizon=4)
+            # past the reach of the 64 segments, about 1.3e19
+            best_hint_index(9.0, 1, Target(1e20, 0))
 
 
 class TestOverflowChecks:

@@ -1,5 +1,5 @@
-"""Every name a module imports is used in that module, and the package
-uses only numpy's core.
+"""Every name a module of the package, the tests or the demos imports is
+used in that module, and the package uses only numpy's core.
 
 A removed option or function tends to leave its imports behind (a typing
 name, a helper); this check, built on the stdlib ``ast`` module only, finds
@@ -14,7 +14,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted(
-    [*(ROOT / "src" / "cowpath").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    path
+    for folder in (ROOT / "src" / "cowpath", ROOT / "tests", ROOT / "demos")
+    for path in folder.glob("*.py")
 )
 
 

@@ -340,10 +340,25 @@ class TestOracleEquivalence:
         b = random_alternating_strategies(5, seed=42)
         assert a == b
 
-    @pytest.mark.parametrize("seed", [-1, True, 2.5, 2.0, "3", None])
-    def test_seed_must_be_a_non_negative_integer(self, seed):
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            (-1, "seed must be >= 0, got -1"),
+            (True, "seed must be an integer, got True"),
+            (2.5, "seed must be an integer, got 2.5"),
+            (2.0, None),  # an integral float reads as its integer
+            ("3", "seed must be an integer, got '3'"),
+            (None, "seed must be an integer, got None"),
+        ],
+        ids=["-1", "True", "2.5", "2.0", "3", "None"],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
         # random.Random would hash a float or a string into a seed
-        message = f"seed must be an integer >= 0, got {seed!r}"
+        if message is None:
+            assert random_alternating_strategies(2, seed) == (
+                random_alternating_strategies(2, int(seed))
+            )
+            return
         for draw in (random_alternating_strategies, oracle_equivalence_gaps):
             with pytest.raises(ValueError) as info:
                 draw(5, seed)
