@@ -7,9 +7,9 @@ the direction frontier included.
 This module is the package's numpy-free layer: it imports only the
 standard library, so `cowpath --help`, usage errors and `cowpath frontier`
 never load numpy.  The scalar pieces the other modules share (the robust
-base interval, the k-bit base, the parameter checks, the integer rule,
-the admission rule of member records, TradeoffPoint) live here for that
-reason.
+base interval, the k-bit base, the parameter checks, the integer and real
+rules, the admission rule of member records, TradeoffPoint) live here for
+that reason.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ class HorizonTooShort(Exception):
 
 def rho(r: float) -> float:
     """Half the allowed overhead, (r - 1) / 2; defined for r >= 9."""
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r!r}")
-    if r < 9.0:
-        raise ValueError(f"r must be >= 9 (no base is r-robust below), got {r!r}")
-    return (r - 1.0) / 2.0
+    return (_budget(r) - 1.0) / 2.0
+
+
+def _budget(r: object) -> float:
+    """A robustness budget r >= 9, as a float."""
+    return _real(r, "r", 9.0, reason=" (no base is r-robust below)")
 
 
 def base_for_robustness(r: float) -> float:
@@ -114,6 +114,49 @@ def _integer(
     raise ValueError(f"{name} must be <= {hi}, got {got}{lower}")
 
 
+# The default upper bound of _real: the largest float, so that the range
+# test alone refuses inf (and nan, which fails every comparison).
+_MAX_REAL = sys.float_info.max
+
+
+def _real(
+    value: object,
+    name: str,
+    lo: float,
+    hi: float = _MAX_REAL,
+    open_lo: bool = False,
+    reason: str = "",
+) -> float:
+    """The one rule that reads a real argument: an int, a float or a numpy
+    real, finite and in [lo, hi] ((lo, hi] when ``open_lo``; ``hi`` is
+    finite), returned as a float.  A bool (numpy's too), a string, bytes or
+    None is refused before float() could read it as a number.  A value out
+    of range is quoted as given, followed by ``reason``."""
+    number = value
+    if type(value) is not float:  # the fast path: each position hint reads one
+        try:
+            # numpy's bool is no subclass of bool; both types are named bool
+            if type(value).__name__ in ("bool", "bool_") or isinstance(
+                value, (str, bytes, bytearray)
+            ):
+                raise TypeError
+            number = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be a number, got {value!r}") from None
+        except OverflowError:  # an int past the float range
+            number = math.inf
+    if (lo < number if open_lo else lo <= number) and number <= hi:
+        return number
+    got = repr(value if type(value) in (int, float) else number)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {got}")
+    if hi < _MAX_REAL:
+        span = f"in {'(' if open_lo else '['}{lo:g}, {hi:g}]"
+    else:
+        span = f"{'>' if open_lo else '>='} {lo:g}"
+    raise ValueError(f"{name} must be {span}{reason}, got {got}")
+
+
 # Bound on rows x horizon, the segments the batched kernels stack (about 220
 # bytes each at peak, so about 230 MB at the bound), and so on the horizon.
 _MAX_SEGMENTS = 2**20
@@ -158,12 +201,8 @@ def _admit(
 
 def _direction_params(b: float, delta: float) -> tuple[float, float]:
     """Checked floats b > 1 and delta in (0, 1]."""
-    b, delta = float(b), float(delta)
-    if not math.isfinite(b) or b <= 1.0:
-        raise ValueError(f"b must be > 1, got {b!r}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta!r}")
-    return b, delta
+    b = _real(b, "b", 1.0, open_lo=True)
+    return b, _real(delta, "delta", 0.0, 1.0, open_lo=True)
 
 
 _MAX_K = 511  # largest k with (1 + 2**k)**2 a finite float
@@ -307,7 +346,7 @@ def direction_frontier(r_values: Sequence[float]) -> FrontierCurve:
     """Best-achievable consistency of the direction family per robustness
     budget, in closed form; upper and lower coincide because the optimum is
     exact, not bounded."""
-    points = tuple(_direction_point(float(r)) for r in r_values)
+    points = tuple(_direction_point(_budget(r)) for r in r_values)
     return FrontierCurve("direction", None, points)
 
 
@@ -448,7 +487,7 @@ def frontier_curve(
     """Frontier curve of one hint class at the given budgets: position
     (tight), direction (exact optimum), onebit and kbit (upper bound with the
     class floor as lower); k is used by kbit only."""
-    rs = [float(r) for r in r_values]
+    rs = [_budget(r) for r in r_values]
     if hint_class == "direction":
         return direction_frontier(rs)
     if hint_class == "position":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .bounds import (
     _admit,
     _direction_params,
     _integer,
+    _real,
     base_for_robustness,
     kbit_base,
 )
@@ -49,9 +50,7 @@ __all__ = [
     "LabeledInterval",
     "LinePartition",
     "position_hint_strategy",
-    "position_true_hint",
     "position_family",
-    "direction_true_hint",
     "direction_trusted_costs",
     "direction_family",
     "kbit_family",
@@ -78,20 +77,19 @@ class HintedStrategy:
     once, when it is built, as the rows of one record checked in one pass,
     so ``select`` checks only the hint and looks its member up.
     ``hint_space`` is the finite set of admissible hints (a grid when the
-    true space is continuous).  ``true_hint_of`` maps a target to its
-    trusted hint(s); None means the correct hint is whichever member finds
-    the target cheapest.  It is the per-target reference rule.
-    ``trusted_costs(members, hints, distances, branch)`` is the same rule
-    batched: the cost of the trusted member at every distance on one branch
-    (NaN or inf where it misses), given the members as one Members record
-    whose row i is ``select(hints[i])``.  Families compare by identity.
+    true space is continuous).  ``trusted_costs(members, hints, distances,
+    branch)`` is the family's trusted-hint rule: the cost of the trusted
+    member at every distance on one branch (NaN or inf where it misses),
+    given the members as one Members record whose row i is
+    ``select(hints[i])``; the default trusts the whole hint space, so the
+    member that finds the target cheapest counts.  Families compare by
+    identity.
     """
 
     family: str
     horizon: int
     select: Callable[[Hint], Strategy]
     hint_space: tuple[Hint, ...]
-    true_hint_of: Optional[Callable[[Target], object]] = None
     trusted_costs: Callable[
         [Members, tuple[Hint, ...], np.ndarray, int], np.ndarray
     ] = cheapest_trusted_costs
@@ -139,11 +137,6 @@ def position_hint_strategy(
     return _position_rows(anchors, powers, [hint])(0)
 
 
-def position_true_hint(target: Target) -> PositionHint:
-    """The correct position hint simply names the target."""
-    return PositionHint(target.distance, target.branch)
-
-
 def _position_trusted_costs(anchors: np.ndarray, powers: np.ndarray):
     """Batched trusted cost of the position family: the member anchored at
     each target costs 2 * (b**0 + .. + b**(j-1)) / shrink + d, where j is the
@@ -171,14 +164,11 @@ _MAX_HINT_DISTANCE = 2.0**20
 def position_family(
     r: float,
     horizon: int = DEFAULT_HORIZON,
-    hints_per_decade: int = _HINTS_PER_DECADE,
+    hints_per_decade: float = _HINTS_PER_DECADE,
 ) -> HintedStrategy:
     """Position-hint family with a log-spaced hint grid from distance 1 to
     2**20 on each branch standing in for the continuous hint space."""
-    if not (math.isfinite(hints_per_decade) and hints_per_decade > 0):
-        raise ValueError(
-            f"hints_per_decade must be finite and > 0, got {hints_per_decade!r}"
-        )
+    hints_per_decade = _real(hints_per_decade, "hints_per_decade", 0.0, open_lo=True)
     decades = math.log10(_MAX_HINT_DISTANCE)
     count = max(2, int(round(decades * hints_per_decade)) + 1)
     # the CLI keeps the default grid: a finer one is what grew
@@ -202,14 +192,8 @@ def position_family(
         horizon=horizon,
         select=select,
         hint_space=hint_space,
-        true_hint_of=position_true_hint,
         trusted_costs=_position_trusted_costs(anchors, powers),
     )
-
-
-def direction_true_hint(target: Target) -> DirectionHint:
-    """The correct direction hint names the target's branch."""
-    return DirectionHint(target.branch)
 
 
 def direction_trusted_costs(
@@ -241,7 +225,6 @@ def direction_family(
         horizon=horizon,
         select=select,
         hint_space=(DirectionHint(0), DirectionHint(1)),
-        true_hint_of=direction_true_hint,
         trusted_costs=direction_trusted_costs,
     )
 
@@ -271,7 +254,6 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
         horizon=horizon,
         select=select,
         hint_space=tuple(BitStringHint(j, k) for j in range(2**k)),
-        true_hint_of=None,
     )
 
 
@@ -303,9 +285,9 @@ class LabeledInterval:
     label: int
 
     def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        lo = _real(self.lo, "lo", 1.0)  # target distances are >= 1
+        hi = _real(self.hi, "hi", 1.0)
+        if lo > hi:
             raise ValueError(f"bad interval ({self.lo!r}, {self.hi!r}]")
         label = _integer(self.label, "label", 0)
         object.__setattr__(self, "lo", lo)
@@ -342,9 +324,7 @@ def preferred_partition(
     label each cell with the best member at its midpoint (cell costs are all
     C + d, so the midpoint decides the whole cell); same-label neighbors are
     merged."""
-    max_distance = float(max_distance)
-    if not math.isfinite(max_distance) or max_distance < 1.0:
-        raise ValueError(f"max_distance must be >= 1, got {max_distance!r}")
+    max_distance = _real(max_distance, "max_distance", 1.0)
     members = _kbit_members(r, k, horizon)
     reach = _shortest_reach(members)
     if max_distance > reach:

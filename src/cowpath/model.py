@@ -10,13 +10,12 @@ All types are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import _MAX_K, _admit, _integer
+from .bounds import _MAX_K, _admit, _integer, _real
 
 __all__ = [
     "Strategy",
@@ -41,28 +40,9 @@ _REL_TOL = 1e-9
 
 
 def _check_branch(branch: int) -> int:
-    if branch is True or branch is False or branch not in (0, 1):
+    if isinstance(branch, (bool, np.bool_)) or branch not in (0, 1):
         raise ValueError(f"branch must be 0 or 1, got {branch!r}")
     return int(branch)
-
-
-def _check_distance(distance: float) -> float:
-    d = float(distance)
-    if not math.isfinite(d) or d < 1.0:
-        raise ValueError(f"distance must be finite and >= 1, got {distance!r}")
-    return d
-
-
-def _check_length(length: float) -> float:
-    # float() would read a JSON bool as 1.0 or 0.0 and a string as its number
-    if not isinstance(length, (int, float)) or isinstance(length, bool):
-        raise ValueError(f"segment length must be a number, got {length!r}")
-    value = float(length)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(
-            f"segment length must be positive and finite, got {length!r}"
-        )
-    return value
 
 
 def _check_rows(lengths: np.ndarray, branches: np.ndarray) -> None:
@@ -183,12 +163,8 @@ def make_geometric(
     scale: float = 1.0,
 ) -> Strategy:
     """Geometric strategy: lengths scale * base**i, branches alternating."""
-    base = float(base)
-    scale = float(scale)
-    if not math.isfinite(base) or base <= 1.0:
-        raise ValueError(f"base must be > 1, got {base!r}")
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ValueError(f"scale must be > 0, got {scale!r}")
+    base = _real(base, "base", 1.0, open_lo=True)
+    scale = _real(scale, "scale", 0.0, open_lo=True)
     params = f"base={base!r}, scale={scale!r}"
     count = _admit(1, count, scale, base, params, "count", "count")
     lengths = scale * np.power(base, np.arange(count, dtype=float))
@@ -197,9 +173,7 @@ def make_geometric(
 
 def scale_strategy(strategy: Strategy, factor: float) -> Strategy:
     """Multiply every segment length by ``factor`` (branches unchanged)."""
-    factor = float(factor)
-    if not math.isfinite(factor) or factor <= 0.0:
-        raise ValueError(f"factor must be > 0, got {factor!r}")
+    factor = _real(factor, "factor", 0.0, open_lo=True)
     return Strategy(strategy.lengths * factor, strategy.branches)
 
 
@@ -211,7 +185,7 @@ class Target:
     branch: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "distance", _check_distance(self.distance))
+        object.__setattr__(self, "distance", _real(self.distance, "distance", 1.0))
         object.__setattr__(self, "branch", _check_branch(self.branch))
 
 
@@ -223,7 +197,7 @@ class PositionHint:
     branch: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "distance", _check_distance(self.distance))
+        object.__setattr__(self, "distance", _real(self.distance, "distance", 1.0))
         object.__setattr__(self, "branch", _check_branch(self.branch))
 
 
@@ -462,7 +436,7 @@ def strategy_from_json(obj: object) -> Strategy:
             if key not in entry:
                 raise ValueError(f"segments[{i}] is missing field '{key}'")
         try:
-            lengths.append(_check_length(entry["length"]))
+            lengths.append(_real(entry["length"], "segment length", 0.0, open_lo=True))
             branches.append(_check_branch(entry["branch"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"segments[{i}]: {exc}") from exc

@@ -14,12 +14,10 @@ from cowpath.hints import (
     LinePartition,
     best_hint_index,
     direction_family,
-    direction_true_hint,
     kbit_family,
     partition_to_json,
     position_family,
     position_hint_strategy,
-    position_true_hint,
     preferred_partition,
 )
 from cowpath.bounds import HorizonTooShort, base_for_robustness, kbit_base
@@ -108,7 +106,6 @@ class TestPositionHintStrategy:
         assert fam.family == "position"
         # a family compares by identity, never by the parameters it came from
         assert fam == fam and fam != position_family(9.0, hints_per_decade=16)
-        assert fam.true_hint_of is position_true_hint
         hints = fam.hint_space
         assert {h.branch for h in hints} == {0, 1}
         assert min(h.distance for h in hints) == 1.0
@@ -189,8 +186,6 @@ class TestDirectionHintStrategy:
     def test_family(self):
         fam = direction_family(2.0, 1.0)
         assert fam.hint_space == (DirectionHint(0), DirectionHint(1))
-        assert fam.true_hint_of is direction_true_hint
-        assert direction_true_hint(Target(7.0, 1)) == DirectionHint(1)
 
 
 class TestKBit:
@@ -242,7 +237,6 @@ class TestKBit:
     def test_family_space(self):
         fam = kbit_family(9.0, 2)
         assert len(fam.hint_space) == 4
-        assert fam.true_hint_of is None
         assert {hint.k for hint in fam.hint_space} == {2}
 
     @pytest.mark.parametrize("d,expected", [(1.2, 1), (3.0, 0), (1.0, 0)])

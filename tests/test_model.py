@@ -55,6 +55,27 @@ class TestSegment:
         with pytest.raises(ValueError, match=r"segments\[0\]: branch must be"):
             strategy_from_json({"segments": [{"length": 1.0, "branch": branch}]})
 
+    @pytest.mark.parametrize("branch", [True, np.True_, np.False_, 2], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda b: Target(2.0, b),
+            lambda b: PositionHint(2.0, b),
+            lambda b: DirectionHint(b),
+            lambda b: strategy_from_lengths([1.0, 2.0], b),
+            lambda b: make_geometric(2.0, 4, b),
+            lambda b: search_costs(make_geometric(2.0, 4), [2.0], b),
+            lambda b: cheapest_search_costs([make_geometric(2.0, 4)], [2.0], b),
+        ],
+        ids=["Target", "PositionHint", "DirectionHint", "strategy_from_lengths",
+             "make_geometric", "search_costs", "cheapest_search_costs"],
+    )
+    def test_branch_argument_refuses_a_bool(self, build, branch):
+        # numpy's bool is no subclass of bool, and np.True_ == 1
+        text = rf"^branch must be 0 or 1, got {re.escape(repr(branch))}$"
+        with pytest.raises(ValueError, match=text):
+            build(branch)
+
 
 class TestStrategy:
     def test_empty_rejected(self):

@@ -317,6 +317,17 @@ def hinted_families(draw):
     return kbit_family(r, draw(st.integers(min_value=1, max_value=4)))
 
 
+def _trusted_hints(family, target):
+    """The per-target reference: the hints a family trusts for a target.
+    A position hint names the target, a direction hint its branch; a k-bit
+    family trusts its whole hint space (the cheapest member counts)."""
+    if family.family == "position":
+        return [PositionHint(target.distance, target.branch)]
+    if family.family == "direction":
+        return [DirectionHint(target.branch)]
+    return family.hint_space
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     family=hinted_families(),
@@ -331,8 +342,7 @@ def test_batched_trusted_cost_matches_scalar_rule(family, ds):
         got = family.trusted_costs(members, space, np.asarray(ds), branch)
         for d, cost in zip(ds, got):
             target = Target(d, branch)
-            trusted = family.true_hint_of
-            hints = family.hint_space if trusted is None else [trusted(target)]
+            hints = _trusted_hints(family, target)
             want = min(
                 c
                 for c in (search_cost(family.select(h), target) for h in hints)

@@ -258,6 +258,36 @@ class TestEvaluateHinted:
         assert max(selected.values()) == 1
 
 
+# A frontier row names the family that attains it: built at the row's
+# budget (and k, or the row's b* and delta*), that family's evaluated
+# consistency is the row's c_upper, within the budget.  A k-bit family may
+# stay below its budget: its base is capped at 1 + 2**k.
+FRONTIER_ROWS = (
+    [("position", r, None) for r in (9.0, 12.0, 25.0, 100.0)]
+    + [("kbit", r, k) for r in (9.0, 12.0, 25.0, 100.0) for k in (1, 2, 4, 8)]
+    + [("direction", r, None) for r in (10.0, 14.0, 25.0, 88.0, 1000.0)]
+)
+
+
+@pytest.mark.parametrize(
+    "hint_class, r, k",
+    FRONTIER_ROWS,
+    ids=[f"{c}-r{r:g}" + (f"-k{k}" if k else "") for c, r, k in FRONTIER_ROWS],
+)
+def test_frontier_row_is_attained_by_its_family(hint_class, r, k):
+    (row,) = bounds.frontier_curve(hint_class, [r], k or 2).points
+    if hint_class == "position":
+        family = position_family(r)
+    elif hint_class == "kbit":
+        family = hints.kbit_family(r, k)
+    else:
+        family = direction_family(row.b_star, row.delta_star)
+    point = evaluate_hinted(family)
+    assert point.consistency == pytest.approx(row.c_upper, rel=1e-12, abs=0)
+    assert point.robustness <= r * (1.0 + 1e-12)
+    assert point.converged
+
+
 @pytest.mark.parametrize(
     "evaluate",
     [
