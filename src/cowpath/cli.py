@@ -39,17 +39,17 @@ _MAX_R_POINTS = 10**6
 
 def _parse_r_range(text: str) -> tuple[float, ...]:
     """Inclusive start:stop:step range; a bare number is a one-point range."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) != 3:
+    try:
+        numbers = [float(part) for part in text.split(":")]
+    except ValueError:
+        numbers = []
+    if len(numbers) == 1:
+        return (numbers[0],)
+    if len(numbers) != 3:
         raise argparse.ArgumentTypeError(
             f"range must be START:STOP:STEP or a single value, got {text!r}"
         )
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    start, stop, step = numbers
     if not (step > 0 and stop >= start):  # also rejects nan
         raise argparse.ArgumentTypeError(
             f"range needs stop >= start and step > 0, got {text!r}"
@@ -216,10 +216,8 @@ def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .model import strategy_from_lengths
 
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    _integer(args.count, "--count", 1)
+    _integer(args.seed, "--seed", 0)
     oracle = None
     if args.suite in ("oracle", "all"):
         # first: its strategies' admission rejects --count before any sweep

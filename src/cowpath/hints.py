@@ -39,6 +39,7 @@ from .model import (
     Target,
     _alternating_rows,
     _distinct,
+    _reals,
     _shortest_reach,
     cheapest_search_costs,
     search_costs,
@@ -141,12 +142,12 @@ def _position_trusted_costs(anchors: np.ndarray, powers: np.ndarray):
     """Batched trusted cost of the position family: the member anchored at
     each target costs 2 * (b**0 + .. + b**(j-1)) / shrink + d, where j is the
     smallest index with b**j >= d and shrink = b**j / d.  NaN where j falls
-    past the horizon."""
+    past the horizon.  Each distance is read as search_costs reads it."""
     sums = np.zeros(anchors.size + 1)
     np.cumsum(powers, out=sums[1:])
 
     def trusted_costs(members, hints, distances, branch):
-        d = np.asarray(distances, dtype=float)
+        d = _reals(distances, "distance", 1.0)
         j = np.searchsorted(anchors, d, side="left")
         inside = j < anchors.size
         j, d_in = j[inside], d[inside]

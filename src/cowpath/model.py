@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import _MAX_K, _admit, _integer, _real
+from .bounds import _MAX_K, _MAX_REAL, _admit, _integer, _real
 
 __all__ = [
     "Strategy",
@@ -45,18 +45,36 @@ def _check_branch(branch: int) -> int:
     return int(branch)
 
 
-def _check_rows(lengths: np.ndarray, branches: np.ndarray) -> None:
-    """The strategy rule, each check run once over all rows: lengths finite
-    and > 0, branches 0 or 1, lengths two apart not shrinking, and the walk
-    2 * (sum of lengths) finite, as _admit bounds it for built records."""
-    bad = ~(np.isfinite(lengths) & (lengths > 0.0))
-    if bad.any():
-        got = float(lengths.ravel()[np.argmax(bad)])
-        raise ValueError(f"segment length must be positive and finite, got {got!r}")
-    bad = (branches != 0) & (branches != 1)
-    if branches.dtype == bool or bad.any():
-        got = branches.ravel()[np.argmax(bad)].item()
-        raise ValueError(f"branch must be 0 or 1, got {got!r}")
+def _each(values, read: Callable, dtype) -> np.ndarray:
+    """``values`` read one by one, in order, by the scalar rule ``read``."""
+    cells = np.asarray(values, dtype=object)  # an ndarray's items as Python values
+    return np.array([read(v) for v in cells.flat], dtype=dtype).reshape(cells.shape)
+
+
+def _reals(values, name: str, lo: float, open_lo: bool = False) -> np.ndarray:
+    """The array twin of bounds._real: ``values``, any shape, as float64.  An
+    int or float ndarray is checked by its min and max alone (NaN fails);
+    any other input, or one that fails, is read one by one by _real."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and values.size:
+        low = float(values.min())  # as float64: _MAX_REAL overflows a float32
+        if (lo < low if open_lo else lo <= low) and float(values.max()) <= _MAX_REAL:
+            return values.astype(float, copy=False)
+    return _each(values, lambda v: _real(v, name, lo, open_lo=open_lo), float)
+
+
+def _branches(values) -> np.ndarray:
+    """The array twin of _check_branch, as int64: an integer ndarray is
+    checked by its min and max alone, any other input one by one."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.size:
+        if values.min() >= 0 and values.max() <= 1:
+            return values.astype(np.int64, copy=False)
+    return _each(values, _check_branch, np.int64)
+
+
+def _check_rows(lengths: np.ndarray) -> None:
+    """The rest of the strategy rule on rows of lengths _reals has read, each
+    check run once over all rows: lengths two apart not shrinking, and the
+    walk 2 * (sum of lengths) finite, as _admit bounds it for built records."""
     shrunk = lengths[:, 2:] < lengths[:, :-2] * (1.0 - _REL_TOL)
     if shrunk.any():
         row, i = np.unravel_index(np.argmax(shrunk), shrunk.shape)
@@ -73,7 +91,7 @@ def _check_rows(lengths: np.ndarray, branches: np.ndarray) -> None:
 class Strategy:
     """A finite prefix of search iterations, held as two read-only arrays:
     ``lengths`` (float64, finite and > 0) and ``branches`` (int64, 0 or 1),
-    validated copies of the constructor's arguments.
+    copies of the constructor's arguments as _reals and _branches read them.
 
     Lengths two steps apart may never shrink (lengths[i+2] >= lengths[i]);
     for alternating strategies this keeps each branch's turn points monotone.
@@ -81,19 +99,13 @@ class Strategy:
     """
 
     def __init__(self, lengths: Sequence[float], branches: Sequence[int]) -> None:
-        lengths = np.array(lengths, dtype=float)
-        given, branches = branches, np.array(branches)
+        lengths = _reals(lengths, "segment length", 0.0, open_lo=True).copy()
+        branches = _branches(branches).copy()
         if lengths.ndim != 1 or lengths.shape != branches.shape:
             raise ValueError("lengths and branches must be 1-D and of one size")
         if lengths.size == 0:
             raise ValueError("strategy needs at least one segment")
-        _check_rows(lengths[None], branches[None])
-        if not isinstance(given, np.ndarray):
-            # numpy reads a list mixing ints and bools as ints
-            for branch in given:
-                if isinstance(branch, (bool, np.bool_)):
-                    raise ValueError(f"branch must be 0 or 1, got {bool(branch)!r}")
-        branches = branches.astype(np.int64)
+        _check_rows(lengths[None])
         lengths.flags.writeable = False
         branches.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
@@ -126,9 +138,7 @@ def strategy_from_lengths(
     lengths: Sequence[float], first_branch: int = 0
 ) -> Strategy:
     """Alternating-branch strategy with the given excursion lengths."""
-    first = _check_branch(first_branch)
-    lengths = np.asarray(lengths, dtype=float)
-    branches = (first + np.arange(lengths.size)) % 2
+    branches = (_check_branch(first_branch) + np.arange(np.size(lengths))) % 2
     return Strategy(lengths, branches)
 
 
@@ -138,11 +148,12 @@ def _alternating_rows(lengths: np.ndarray, first_branches) -> Callable[[int], St
     checked in one pass.  Returns row(i): strategy i, its arrays read-only
     views of the record, tagged with i so that Members.stack can adopt the
     record."""
+    lengths = _reals(lengths, "segment length", 0.0, open_lo=True)
     if lengths.base is not None:  # the rows' base must be the record itself
         lengths = lengths.copy()
+    _check_rows(lengths)
     patterns = np.arange(2)[:, None] + np.arange(lengths.shape[1])
     patterns %= 2  # pattern b starts on branch b
-    _check_rows(lengths, patterns)
     lengths.flags.writeable = False
     patterns.flags.writeable = False
 
@@ -312,13 +323,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _check_distances(distances) -> np.ndarray:
-    d = np.asarray(distances, dtype=float)
-    if d.size and not float(np.min(d)) >= 1.0:  # also rejects NaN
-        raise ValueError("target distances must be >= 1")
-    return d
-
-
 def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Complex keys row + 1j * value: numpy orders complex numbers by real
     part, then imaginary part, so the keys sort by (row, value), exactly."""
@@ -359,7 +363,7 @@ def search_costs(
     every distance is scored on that strategy.  Given m strategies (or m
     rows) it must have shape (m, n): row i is scored on strategy i.
     Returns costs of the distances' shape, NaN where the prefix never
-    covers the target.  Distances must all be >= 1.
+    covers the target.  Each distance is read by _reals: finite and >= 1.
 
     Row i of the kernel is strategy i's segments, with reach 0 off the
     branch, so the first segment whose running-maximum reach is >= d is the
@@ -367,7 +371,7 @@ def search_costs(
     O(m * (longest strategy + n)).
     """
     branch = _check_branch(branch)
-    d = _check_distances(distances)
+    d = _reals(distances, "distance", 1.0)
     members = Members.stack(strategies)
     rows = d.reshape(1, -1) if len(members) == 1 else d
     if rows.ndim != 2 or rows.shape[0] != len(members):
@@ -389,7 +393,7 @@ def cheapest_search_costs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per distance on ``branch``: the lowest search cost among ``strategies``
     and the index of the strategy that attains it.  Where no strategy finds
-    the target the cost is inf and the index -1.
+    the target the cost is inf and the index -1 (distances: see search_costs).
 
     The cheapest cost at d is d + 2 * min{sum of the lengths before segment
     s : lengths[s] >= d}.  Ordered by (prefix sum, strategy index), every
@@ -399,7 +403,7 @@ def cheapest_search_costs(
     O(segments + len(distances)).
     """
     branch = _check_branch(branch)
-    d = _check_distances(distances)
+    d = _reals(distances, "distance", 1.0)
     members = Members.stack(strategies)
     on = members.branches == branch
     # The sentinel segment has infinite reach and prefix sum, and index -1:
@@ -440,4 +444,4 @@ def strategy_from_json(obj: object) -> Strategy:
             branches.append(_check_branch(entry["branch"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"segments[{i}]: {exc}") from exc
-    return Strategy(lengths, branches)
+    return Strategy(np.array(lengths), np.array(branches))  # read once, above

@@ -29,6 +29,7 @@ from .model import (
     Strategy,
     _alternating_rows,
     _distinct,
+    _reals,
     _shortest_reach,
     search_costs,
 )
@@ -47,19 +48,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TargetGrid:
-    """Sorted target distances, each finite and >= 1: a read-only float64
-    array, a validated copy of the constructor's argument."""
+    """Sorted target distances, each read as search_costs reads it: a
+    read-only float64 array, a copy of the constructor's argument."""
 
     distances: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.array(self.distances, dtype=float)
+        d = _reals(self.distances, "distance", 1.0).copy()
         if d.ndim != 1 or d.size == 0:
             raise ValueError("target grid must contain at least one distance")
-        bad = ~(np.isfinite(d) & (d >= 1.0))
-        if bad.any():
-            got = float(d[np.argmax(bad)])
-            raise ValueError(f"grid distances must be finite and >= 1, got {got!r}")
         if np.any(d[1:] < d[:-1]):
             raise ValueError("grid distances must be sorted ascending")
         d.flags.writeable = False

@@ -498,9 +498,31 @@ class TestFrontier:
         assert code == 2 and "needs --r" in err
 
     @pytest.mark.parametrize("bad", ["9:8:1", "9:10:0", "9:10", "a:b:c", "x"])
-    def test_bad_range_grammar(self, capsys, bad):
-        code, _, _ = run(capsys, "frontier", "--class", "position", "--r", bad)
-        assert code == 2
+    def test_bad_range_grammar(self, capsys, tmp_path, bad):
+        # one message per text, naming --r on the command line and in a config
+        if bad in ("9:8:1", "9:10:0"):
+            message = f"range needs stop >= start and step > 0, got {bad!r}"
+        else:
+            message = f"range must be START:STOP:STEP or a single value, got {bad!r}"
+        code, out, err = run(capsys, "frontier", "--class", "position", "--r", bad)
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument --r: {message}\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": bad}))
+        code, out, err = run(
+            capsys, "frontier", "--class", "position", "--config", str(cfg)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: config field 'r' (--r): {message}\n"
+
+    @pytest.mark.parametrize("bad", ["9:10:x", "x:10:1", "9::1", "", "9:10:1:1"])
+    def test_every_malformed_range_gives_the_grammar_message(self, capsys, bad):
+        code, out, err = run(capsys, "frontier", "--class", "position", "--r", bad)
+        assert code == 2 and out == ""
+        assert err.endswith(
+            "error: argument --r: range must be START:STOP:STEP or a single "
+            f"value, got {bad!r}\n"
+        )
 
     def test_range_point_cap(self, capsys, monkeypatch):
         # the count is checked before any point is built
@@ -774,7 +796,8 @@ class TestConfig:
             (["frontier", "--class", "kbit", "--r", "9"], {"k": "2.7"},
              "config field 'k' (--k) must be an integer, got '2.7'"),
             (["frontier", "--class", "position"], {"r": "x"},
-             "config field 'r' (--r) must be a number, got 'x'"),
+             "config field 'r' (--r): range must be START:STOP:STEP or a single "
+             "value, got 'x'"),
             (["eval"], {"family": "direction", "r_params": "b=2,delta=1"},
              "config has no matching flag for field 'r_params'"),
             (["frontier", "--r", "9"], {"hint_class": "onebit"},

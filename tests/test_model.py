@@ -39,9 +39,11 @@ class TestSegment:
 
     @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
     def test_bad_length(self, length):
-        with pytest.raises(ValueError, match="positive and finite"):
+        rule = "> 0" if math.isfinite(length) else "finite"
+        text = rf"segment length must be {re.escape(rule)}, got {length!r}$"
+        with pytest.raises(ValueError, match="^" + text):
             Strategy([length], [0])
-        with pytest.raises(ValueError, match=r"segments\[0\]: segment length"):
+        with pytest.raises(ValueError, match=r"^segments\[0\]: " + text):
             strategy_from_json({"segments": [{"length": length, "branch": 0}]})
 
     @pytest.mark.parametrize("branch", [2, -1, True, False, 0.5])
@@ -54,6 +56,17 @@ class TestSegment:
             Strategy([1.0, 2.0], [0, branch])
         with pytest.raises(ValueError, match=r"segments\[0\]: branch must be"):
             strategy_from_json({"segments": [{"length": 1.0, "branch": branch}]})
+
+    @pytest.mark.parametrize(
+        "branches, got",
+        [([0, np.True_], np.True_), (np.array([False, True]), False)],
+        ids=["list-np.True_", "bool-array"],
+    )
+    def test_branches_refuse_a_bool_in_a_list_or_array(self, branches, got):
+        # numpy would read either as the ints 0 and 1
+        text = rf"^branch must be 0 or 1, got {re.escape(repr(got))}$"
+        with pytest.raises(ValueError, match=text):
+            Strategy([1.0, 2.0], branches)
 
     @pytest.mark.parametrize("branch", [True, np.True_, np.False_, 2], ids=repr)
     @pytest.mark.parametrize(
@@ -95,7 +108,8 @@ class TestStrategy:
         rows = np.array([[1.0, 2.0, 3.0], [4.0, 1.0, 3.9], [1.0, math.inf, 1.0]])
         with pytest.raises(ValueError, match=r"^lengths\[2\]=3.9 < lengths\[0\]=4.0"):
             model._alternating_rows(rows[:2], np.array([0, 1]))
-        with pytest.raises(ValueError, match="positive and finite, got inf"):
+        text = "^segment length must be finite, got inf$"
+        with pytest.raises(ValueError, match=text):
             model._alternating_rows(rows, np.array([0, 1, 0]))
         row = model._alternating_rows(rows[:1], np.array([1]))
         assert row(0) == Strategy([1.0, 2.0, 3.0], [1, 0, 1])

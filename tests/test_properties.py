@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cowpath.bounds import (
     HorizonTooShort,
+    _real,
     base_for_robustness,
     check_prefix_sum_bound,
     check_segment_growth_lemma,
@@ -37,7 +39,10 @@ from cowpath.model import (
     PositionHint,
     Strategy,
     Target,
+    _branches,
+    _check_branch,
     _distinct,
+    _reals,
     cheapest_search_costs,
     make_geometric,
     scale_strategy,
@@ -371,6 +376,78 @@ def test_distinct_matches_np_unique(values, nans, rows):
     finite = x[~np.isnan(x)]
     assert _same(got[: got.size - nans], np.unique(finite))
     assert np.isnan(got[got.size - nans :]).all()
+
+
+# Anything a caller might pass as one distance, length or branch.
+_ITEMS = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.integers(),
+    st.floats(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_, None, "2", "nan", math.nan, math.inf]),
+)
+_ARRAYS = hnp.arrays(
+    hnp.integer_dtypes() | hnp.unsigned_integer_dtypes() | hnp.floating_dtypes()
+    | hnp.boolean_dtypes(),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+)
+# Arrays near the ranges' ends, where a bool, a fraction, a negative or an
+# inf would pass a test of the minimum or the maximum alone.
+_EDGE_ARRAYS = st.lists(st.sampled_from([0, 1, 2, -1]), max_size=4).flatmap(
+    lambda xs: st.sampled_from([np.int8, np.int64, np.bool_]).map(
+        lambda t: np.array(xs, dtype=np.int64).astype(t)
+    )
+) | st.lists(
+    st.sampled_from([0.0, 1.0, 0.5, 2.0, -1.0, math.inf, math.nan]), max_size=4
+).flatmap(
+    lambda xs: st.sampled_from([np.float32, np.float64]).map(
+        lambda t: np.array(xs, dtype=t)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(_ITEMS, max_size=6) | _ARRAYS | _EDGE_ARRAYS,
+    rule=st.sampled_from(["distance", "length", "branch"]),
+)
+@example(values=[2.0, True], rule="length")
+@example(values=np.array([3.0, 0.5]), rule="distance")
+@example(values=np.array([[1, 0], [1, 2]]), rule="branch")
+@example(values=np.array([1, -1]), rule="branch")
+@example(values=np.array([0.0, 0.5]), rule="branch")
+@example(values=np.array([True, False]), rule="branch")
+@example(values=np.array([2.0, math.inf]), rule="distance")
+@example(values=np.array(["2", "3"]), rule="distance")
+def test_array_rules_match_the_scalar_rules(values, rule):
+    """_reals and _branches refuse exactly when some element fails the scalar
+    rule, with the first such element's message (an ndarray's elements as
+    Python values); else they return the scalar rule's values, exactly."""
+    twin, scalar = {
+        "distance": (
+            lambda v: _reals(v, "distance", 1.0), lambda x: _real(x, "distance", 1.0)
+        ),
+        "length": (
+            lambda v: _reals(v, "length", 0.0, open_lo=True),
+            lambda x: _real(x, "length", 0.0, open_lo=True),
+        ),
+        "branch": (_branches, _check_branch),
+    }[rule]
+    items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+    shape = np.shape(values) if isinstance(values, np.ndarray) else (len(values),)
+    try:
+        want = np.array([scalar(x) for x in items]).reshape(shape)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            twin(values)
+        assert str(info.value) == str(exc)
+    else:
+        got = twin(values)
+        assert got.dtype == (np.int64 if rule == "branch" else np.float64)
+        assert got.shape == shape and np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)

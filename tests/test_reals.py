@@ -2,7 +2,9 @@
 interval end the library takes is read by one check, `bounds._real`.  An
 int, a float or a numpy real reads as its float; a bool (numpy's too), a
 string, bytes or None is refused as not a number, nan and inf as not
-finite, each with a message naming the parameter."""
+finite, each with a message naming the parameter.  Every batch of
+distances or segment lengths is read by its array twin, `model._reals`,
+with the same messages."""
 
 import inspect
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import cowpath
+from cowpath import model
 from cowpath.bounds import (
     base_for_robustness,
     build_frontiers,
@@ -31,19 +34,27 @@ from cowpath.bounds import (
 from cowpath.hints import (
     LabeledInterval,
     best_hint_index,
+    cheapest_trusted_costs,
     direction_family,
+    direction_trusted_costs,
     kbit_family,
     position_family,
     position_hint_strategy,
     preferred_partition,
 )
 from cowpath.model import (
+    Members,
     PositionHint,
+    Strategy,
     Target,
+    cheapest_search_costs,
     make_geometric,
     scale_strategy,
+    search_costs,
     strategy_from_json,
+    strategy_from_lengths,
 )
+from cowpath.ratios import TargetGrid
 
 GEOMETRIC = make_geometric(2.0, 8)
 
@@ -168,21 +179,139 @@ def test_out_of_range_is_quoted_as_given(read, message):
     assert str(info.value) == message
 
 
+POSITION = position_family(9.0, hints_per_decade=1)
+DIRECTION = direction_family(2.0, 1.0)
+
+
+def _record(family):
+    return Members.stack(_members(family))
+
+
+def _one_row(batch):
+    # a 1 x n record: an ndarray keeps its dtype, a list its Python objects
+    return np.array([batch], dtype=getattr(batch, "dtype", object))
+
+
+# Every batched reader of distances or segment lengths, as in LIBRARY: the
+# name its errors give, the value just below its range, and a reader that
+# passes a batch as that parameter and returns the array it computed.
+BATCHED = {
+    "search_costs-distances": (
+        "distance", 0.5, lambda v: search_costs(GEOMETRIC, v, 0)
+    ),
+    "cheapest_search_costs-distances": (
+        "distance", 0.5, lambda v: cheapest_search_costs([GEOMETRIC], v, 0)[0]
+    ),
+    "cheapest_trusted_costs-distances": (
+        "distance", 0.5,
+        lambda v: cheapest_trusted_costs(Members.stack(GEOMETRIC), (), v, 0),
+    ),
+    "direction_trusted_costs-distances": (
+        "distance", 0.5,
+        lambda v: direction_trusted_costs(
+            _record(DIRECTION), DIRECTION.hint_space, v, 0
+        ),
+    ),
+    "position_family-trusted_costs": (
+        "distance", 0.5,
+        lambda v: POSITION.trusted_costs(_record(POSITION), POSITION.hint_space, v, 0),
+    ),
+    "TargetGrid-distances": ("distance", 0.5, lambda v: TargetGrid(v).distances),
+    "Strategy-lengths": ("segment length", -1.0, lambda v: Strategy(v, [0, 1]).lengths),
+    "strategy_from_lengths-lengths": (
+        "segment length", -1.0, lambda v: strategy_from_lengths(v).lengths
+    ),
+    "_alternating_rows-lengths": (
+        "segment length", -1.0,
+        lambda v: model._alternating_rows(_one_row(v), [0])(0).lengths,
+    ),
+}
+
+
+def _refused(reader, batch):
+    with pytest.raises(ValueError) as info:
+        BATCHED[reader][2](batch)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("reader", sorted(BATCHED))
+def test_batched_not_a_number_is_refused(reader, value):
+    # a cast to float would read [2.0, True] as [2.0, 1.0], [2.0, "2"] as [2.0, 2.0]
+    name = BATCHED[reader][0]
+    message = f"{name} must be a number, got {value!r}"
+    assert _refused(reader, [2.0, value]) == message
+    # an object array holds the value as it is
+    assert _refused(reader, np.array([2.0, value], dtype=object)) == message
+
+
+@pytest.mark.parametrize("value", NOT_FINITE, ids=["nan", "inf", "np.nan"])
+@pytest.mark.parametrize("reader", sorted(BATCHED))
+def test_batched_not_finite_is_refused(reader, value):
+    name = BATCHED[reader][0]
+    message = f"{name} must be finite, got {float(value)!r}"
+    assert _refused(reader, [2.0, value]) == message
+    assert _refused(reader, np.array([2.0, value])) == message
+
+
+@pytest.mark.parametrize("reader", sorted(BATCHED))
+def test_batched_below_range_is_refused(reader):
+    name, low, _ = BATCHED[reader]
+    rule = ">= 1" if name == "distance" else "> 0"
+    message = f"{name} must be {rule}, got {low!r}"
+    assert _refused(reader, [2.0, low]) == message
+    assert _refused(reader, np.array([2.0, low])) == message
+
+
+@pytest.mark.parametrize(
+    "batch, got",
+    [(np.array([True, True]), "True"), (np.array(["2", "3"]), "'2'")],
+    ids=["bool-array", "str-array"],
+)
+@pytest.mark.parametrize("reader", sorted(BATCHED))
+def test_batched_array_of_no_numbers_is_refused(reader, batch, got):
+    name = BATCHED[reader][0]
+    assert _refused(reader, batch) == f"{name} must be a number, got {got}"
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [[2, 3], [np.float64(2.0), np.int64(3)], np.array([2, 3]),
+     np.array([2.0, 3.0], dtype=np.float32), np.array([2, 3], dtype=np.uint8)],
+    ids=["ints", "numpy-reals", "int-array", "float32-array", "uint8-array"],
+)
+@pytest.mark.parametrize("reader", sorted(BATCHED))
+def test_batched_reals_read_as_their_floats(reader, batch):
+    read = BATCHED[reader][2]
+    got, want = read(batch), read(np.array([2.0, 3.0]))
+    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
 # Output records check what the library computed, not a caller's argument.
 OUTPUT_RECORDS = {"TradeoffPoint", "FrontierPoint", "InequalityReport"}
+# Members is the padded record Members.stack builds from strategies whose
+# arrays were read when they were built; its fields are no caller's input.
+RECORDS = {"Members"}
+# The annotations of the parameters that take a batch of reals.
+BATCH_ANNOTATIONS = {"np.ndarray", "Sequence[float]"}
 
 
 def test_every_real_parameter_has_a_row():
-    """A parameter of the public API annotated float that the table misses
-    would skip the rule unnoticed."""
+    """A parameter of the public API annotated float, or taking a batch of
+    reals, that the tables miss would skip the rule unnoticed."""
     found = []
-    for name in sorted(set(cowpath.__all__) - OUTPUT_RECORDS):
+    for name in sorted(set(cowpath.__all__) - OUTPUT_RECORDS - RECORDS):
         obj = getattr(cowpath, name)
         if not callable(obj) or (
             isinstance(obj, type) and issubclass(obj, Exception)
         ):
             continue
         parameters = inspect.signature(obj).parameters.values()
-        found += [f"{name}-{p.name}" for p in parameters if p.annotation == "float"]
-    assert "Target-distance" in found  # dataclass fields are walked too
-    assert sorted(set(found) - set(LIBRARY)) == []
+        found += [
+            f"{name}-{p.name}"
+            for p in parameters
+            if p.annotation == "float" or p.annotation in BATCH_ANNOTATIONS
+        ]
+    # dataclass fields are walked too
+    assert {"Target-distance", "TargetGrid-distances"} <= set(found)
+    assert sorted(set(found) - set(LIBRARY) - set(BATCHED)) == []
