@@ -192,8 +192,10 @@ def _admit(
             f"2 * (sum of lengths) reaches about 10**{log_walk / math.log(10):.1f}"
         )
     if rows * horizon > _MAX_SEGMENTS:
+        # quoted as the walk is: 2**511 members would print 154 digits
+        count = rows if rows < 10**15 else f"about 10**{math.log10(rows):.1f}"
         raise ValueError(
-            f"{params} with {name}={horizon} needs {rows} members x {horizon} "
+            f"{params} with {name}={horizon} needs {count} members x {horizon} "
             f"segments, over the limit of {_MAX_SEGMENTS} segments (lower {lower})"
         )
     return horizon

@@ -165,7 +165,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not point.converged:
         print(
             f"warning: the ratio terms have not settled within horizon "
-            f"{family.horizon}; the values hold for this finite prefix only "
+            f"{args.horizon}; the values hold for this finite prefix only "
             "(raise --horizon)",
             file=sys.stderr,
         )

@@ -87,8 +87,6 @@ class HintedStrategy:
     identity.
     """
 
-    family: str
-    horizon: int
     select: Callable[[Hint], Strategy]
     hint_space: tuple[Hint, ...]
     trusted_costs: Callable[
@@ -171,11 +169,14 @@ def position_family(
     2**20 on each branch standing in for the continuous hint space."""
     hints_per_decade = _real(hints_per_decade, "hints_per_decade", 0.0, open_lo=True)
     decades = math.log10(_MAX_HINT_DISTANCE)
+    if math.isinf(decades * hints_per_decade):
+        raise ValueError(
+            f"hints_per_decade must give a finite hint count, got {hints_per_decade!r}"
+        )
     count = max(2, int(round(decades * hints_per_decade)) + 1)
     # the CLI keeps the default grid: a finer one is what grew
     lower = "hints_per_decade" if hints_per_decade > _HINTS_PER_DECADE else "--horizon"
     anchors, powers = _position_geometry(r, horizon, 2 * count, lower)
-    horizon = anchors.size
     distances = np.logspace(0.0, decades, count).tolist()
     hint_space = tuple(PositionHint(d, b) for b in (0, 1) for d in distances)
     # Grid hints past the horizon get no member: select raises for them.
@@ -186,15 +187,9 @@ def position_family(
     def select(hint) -> Strategy:
         i = index.get(hint) if isinstance(hint, PositionHint) else None
         # off the grid, past the horizon or not a position hint: built alone
-        return position_hint_strategy(r, hint, horizon) if i is None else row(i)
+        return position_hint_strategy(r, hint, anchors.size) if i is None else row(i)
 
-    return HintedStrategy(
-        family="position",
-        horizon=horizon,
-        select=select,
-        hint_space=hint_space,
-        trusted_costs=_position_trusted_costs(anchors, powers),
-    )
+    return HintedStrategy(select, hint_space, _position_trusted_costs(anchors, powers))
 
 
 def direction_trusted_costs(
@@ -222,11 +217,7 @@ def direction_family(
         return row(hint.branch)
 
     return HintedStrategy(
-        family="direction",
-        horizon=horizon,
-        select=select,
-        hint_space=(DirectionHint(0), DirectionHint(1)),
-        trusted_costs=direction_trusted_costs,
+        select, (DirectionHint(0), DirectionHint(1)), direction_trusted_costs
     )
 
 
@@ -250,12 +241,7 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
             raise ValueError(f"hint has k={hint.k}, family has k={k}")
         return row(hint.index)
 
-    return HintedStrategy(
-        family="kbit",
-        horizon=horizon,
-        select=select,
-        hint_space=tuple(BitStringHint(j, k) for j in range(2**k)),
-    )
+    return HintedStrategy(select, tuple(BitStringHint(j, k) for j in range(2**k)))
 
 
 def _kbit_members(r: float, k: int, horizon: int) -> Members:

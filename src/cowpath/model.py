@@ -201,15 +201,8 @@ class Target:
 
 
 @dataclass(frozen=True)
-class PositionHint:
+class PositionHint(Target):
     """Claims the target sits exactly at (distance, branch)."""
-
-    distance: float
-    branch: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "distance", _real(self.distance, "distance", 1.0))
-        object.__setattr__(self, "branch", _check_branch(self.branch))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,9 @@ class TargetGrid:
 
     def __post_init__(self) -> None:
         d = _reals(self.distances, "distance", 1.0).copy()
-        if d.ndim != 1 or d.size == 0:
+        if d.ndim != 1:
+            raise ValueError(f"target grid distances must be 1-D, got shape {d.shape}")
+        if d.size == 0:
             raise ValueError("target grid must contain at least one distance")
         if np.any(d[1:] < d[:-1]):
             raise ValueError("grid distances must be sorted ascending")

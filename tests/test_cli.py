@@ -282,6 +282,17 @@ class TestEval:
         assert code == 2 and out == ""
         assert err == f"error: k must be {got}\n"
 
+    def test_huge_member_count_is_quoted_briefly(self, capsys):
+        # 2**511 members: a 154-digit count is quoted as the walk is
+        code, out, err = run(
+            capsys, "eval", "--family", "kbit", "--r-params", "r=9,k=511"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: r=9.0, k=511 with horizon=64 needs about 10**153.8 members x 64 "
+            "segments, over the limit of 1048576 segments (lower --k or --horizon)\n"
+        )
+
     @pytest.mark.parametrize("length", [True, "3"], ids=["bool", "string"])
     def test_json_length_must_be_a_number(self, capsys, length):
         segments = [{"length": length, "branch": 0}, {"length": 2, "branch": 1}]
@@ -1038,11 +1049,12 @@ class TestTopLevel:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "    check(argv)\n"
-            "families = [hints.position_family(9.0), hints.direction_family(2.0, 0.5),\n"
-            "            hints.kbit_family(9.0, 4)]\n"
-            "for family in families:\n"
+            "families = [('position', hints.position_family(9.0)),\n"
+            "            ('direction', hints.direction_family(2.0, 0.5)),\n"
+            "            ('kbit', hints.kbit_family(9.0, 4))]\n"
+            "for label, family in families:\n"
             "    ratios.evaluate_hinted(family)\n"
-            "    check(family.family)\n"
+            "    check(label)\n"
             "hints.preferred_partition(9.0, 4, 1e6)\n"
             "check('preferred_partition')\n"
             "ratios.oracle_equivalence_gaps(200, 5)\n"

@@ -2,6 +2,7 @@
 
 import bisect
 import collections
+import dataclasses
 import math
 import warnings
 
@@ -94,6 +95,11 @@ class TestPositionHintStrategy:
         with pytest.raises(ValueError, match="PositionHint"):
             position_hint_strategy(9.0, DirectionHint(0))
 
+    def test_a_target_is_no_position_hint(self):
+        family = position_family(9.0, hints_per_decade=1)
+        with pytest.raises(ValueError, match="position family needs a PositionHint"):
+            family.select(Target(2.0, 0))
+
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShort, match=r"distance \S+e\+21 .* horizon 64"):
             position_hint_strategy(9.0, PositionHint(2.0**70, 0), horizon=64)
@@ -103,7 +109,9 @@ class TestPositionHintStrategy:
 
     def test_family_descriptor(self):
         fam = position_family(9.0, hints_per_decade=16)
-        assert fam.family == "position"
+        # a family holds its member rule, its hints and its trusted-hint rule
+        fields = [f.name for f in dataclasses.fields(fam)]
+        assert fields == ["select", "hint_space", "trusted_costs"]
         # a family compares by identity, never by the parameters it came from
         assert fam == fam and fam != position_family(9.0, hints_per_decade=16)
         hints = fam.hint_space
@@ -119,8 +127,12 @@ class TestPositionHintStrategy:
         [
             ({"hints_per_decade": math.inf}, "hints_per_decade must be finite"),
             ({"hints_per_decade": 0}, r"hints_per_decade .* > 0, got 0"),
+            (
+                {"hints_per_decade": 1e308},
+                r"^hints_per_decade must give a finite hint count, got 1e\+308$",
+            ),
         ],
-        ids=["hints-inf", "hints-0"],
+        ids=["hints-inf", "hints-0", "hints-1e308"],
     )
     def test_family_inputs_name_their_parameter(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -326,7 +338,7 @@ class TestSizeLimit:
         monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
         assert len(kbit_family(9.0, 1).hint_space) == 2
         assert preferred_partition(9.0, 1, 10.0).branch0
-        assert direction_family(2.0, 1.0, 64).horizon == 64
+        assert len(direction_family(2.0, 1.0, 64).select(DirectionHint(0))) == 64
 
 
 class TestPartition:

@@ -26,6 +26,12 @@ from cowpath.hints import (
 from cowpath.model import BitStringHint, PositionHint, Target, make_geometric
 from cowpath.ratios import oracle_equivalence_gaps, random_alternating_strategies
 
+
+def _member_length(family):
+    """The segments of a family's first member: its horizon."""
+    return len(family.select(family.hint_space[0]))
+
+
 # Every integer parameter of the library: the name its errors give, and a
 # reader that passes a value as that parameter and returns what was built.
 # A parameter with an upper bound is listed in BOUNDED.
@@ -35,15 +41,17 @@ LIBRARY = {
     "kbit_consistency_upper-k": ("k", lambda v: kbit_consistency_upper(100.0, v)),
     "frontier_curve-k": ("k", lambda v: frontier_curve("kbit", [100.0], v)),
     "kbit_family-k": ("k", lambda v: len(kbit_family(9.0, v).hint_space)),
-    "kbit_family-horizon": ("horizon", lambda v: kbit_family(9.0, 1, v).horizon),
+    "kbit_family-horizon": (
+        "horizon", lambda v: _member_length(kbit_family(9.0, 1, v))
+    ),
     "position_family-horizon": (
-        "horizon", lambda v: position_family(9.0, v).horizon
+        "horizon", lambda v: _member_length(position_family(9.0, v))
     ),
     "position_hint_strategy-horizon": (
         "horizon", lambda v: len(position_hint_strategy(9.0, PositionHint(2.0, 0), v))
     ),
     "direction_family-horizon": (
-        "horizon", lambda v: direction_family(2.0, 1.0, v).horizon
+        "horizon", lambda v: _member_length(direction_family(2.0, 1.0, v))
     ),
     "best_hint_index-k": ("k", lambda v: best_hint_index(9.0, v, Target(2.0, 0))),
     "preferred_partition-k": ("k", lambda v: preferred_partition(9.0, v, 10.0)),

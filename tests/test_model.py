@@ -208,6 +208,12 @@ class TestTargetAndHints:
         with pytest.raises(ValueError):
             DirectionHint(7)
 
+    def test_position_hint_reads_as_a_target_but_is_none(self):
+        # one rule reads both; a hint and a target never compare equal
+        assert "__post_init__" not in vars(PositionHint)
+        assert PositionHint(2.0, 0) != Target(2.0, 0)
+        assert Target(2.0, 0) != PositionHint(2.0, 0)
+
 
 class TestSearchCost:
     # G_2 with 5 segments: lengths 1,2,4,8,16 on branches 0,1,0,1,0.

@@ -326,9 +326,9 @@ def _trusted_hints(family, target):
     """The per-target reference: the hints a family trusts for a target.
     A position hint names the target, a direction hint its branch; a k-bit
     family trusts its whole hint space (the cheapest member counts)."""
-    if family.family == "position":
+    if isinstance(family.hint_space[0], PositionHint):
         return [PositionHint(target.distance, target.branch)]
-    if family.family == "direction":
+    if isinstance(family.hint_space[0], DirectionHint):
         return [DirectionHint(target.branch)]
     return family.hint_space
 
@@ -551,10 +551,7 @@ def _reaching(s):
 def _family(members):
     """A hand-built family: hint i selects member i."""
     return HintedStrategy(
-        family="custom",
-        horizon=max(len(m) for m in members),
-        select=members.__getitem__,
-        hint_space=tuple(range(len(members))),
+        select=members.__getitem__, hint_space=tuple(range(len(members)))
     )
 
 

@@ -146,6 +146,8 @@ class TestGrids:
     def test_target_grid_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             TargetGrid(())
+        with pytest.raises(ValueError, match=r"must be 1-D, got shape \(2, 2\)$"):
+            TargetGrid(np.ones((2, 2)))
         with pytest.raises(ValueError, match="sorted"):
             TargetGrid((3.0, 2.0))
         with pytest.raises(ValueError, match=">= 1"):

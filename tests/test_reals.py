@@ -163,6 +163,7 @@ def test_a_hint_holds_a_python_float(build, value):
         (lambda: rho(5), "r must be >= 9 (no base is r-robust below), got 5"),
         (lambda: make_geometric(1, 4), "base must be > 1, got 1"),
         (lambda: Target(np.float64(0.5), 0), "distance must be >= 1, got 0.5"),
+        (lambda: PositionHint(0.5, 1), "distance must be >= 1, got 0.5"),
         (lambda: direction_tradeoff(2.0, 1.5), "delta must be in (0, 1], got 1.5"),
         (
             lambda: preferred_partition(9.0, 1, 0.5),
@@ -171,7 +172,10 @@ def test_a_hint_holds_a_python_float(build, value):
         (lambda: LabeledInterval(0.5, 2.0, 0), "lo must be >= 1, got 0.5"),
         (lambda: rho(10**400), "r must be finite, got " + "1" + "0" * 400),
     ],
-    ids=["reason", "open", "closed", "interval", "max_distance", "lo", "huge-int"],
+    ids=[
+        "reason", "open", "closed", "position-closed", "interval", "max_distance",
+        "lo", "huge-int",
+    ],
 )
 def test_out_of_range_is_quoted_as_given(read, message):
     with pytest.raises(ValueError) as info:
