@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -60,7 +61,7 @@ def _parse_r_range(text: str) -> tuple[float, ...]:
             f"range must hold at most {_MAX_R_POINTS} points, got {text!r}"
         )
     rs = tuple(start + i * step for i in range(math.floor(steps) + 1))
-    if len(set(rs)) < len(rs):
+    if any(a == b for a, b in itertools.pairwise(rs)):  # rs never decreases
         raise argparse.ArgumentTypeError(
             f"range step is below the float spacing and repeats a budget, got {text!r}"
         )

@@ -94,29 +94,48 @@ class HintedStrategy:
     ] = cheapest_trusted_costs
 
 
-def _position_geometry(
-    r: float, horizon: int, rows: int, lower: str = "--horizon"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anchors b_r**j (Python powers) and np.power lengths of the unshrunk
-    position member, once a record of ``rows`` members is admitted: every
-    member's lengths are at most b_r**i.  A rejection says to lower
-    ``lower``."""
+def _position_rule(r: float, horizon: int, rows: int, lower: str = "--horizon"):
+    """The position family's one anchor rule, derived once for a record of
+    ``rows`` members: the member of a hint at distance d is the base-b_r
+    geometric strategy shrunk by b_r**j / d, where anchor j is the first
+    b_r**j >= d, so that turn point j lands exactly on d and segment j
+    searches the hinted branch.  Returns the farthest anchor, members(hints)
+    (one record, row i the member of hints[i]) and the family's
+    trusted_costs.  A rejection of the record says to lower ``lower``."""
     base = base_for_robustness(r)
     horizon = _admit(rows, horizon, 1.0, base, f"r={r!r}", lower)
     anchors = np.array([base**j for j in range(horizon)])
-    return anchors, np.power(base, np.arange(horizon, dtype=float))
+    farthest = anchors[-1].item()
+    powers = np.power(base, np.arange(horizon, dtype=float))
+    sums = np.concatenate(([0.0], np.cumsum(powers)))
 
+    def members(hints) -> Callable[[int], Strategy]:
+        for hint in hints:
+            if not isinstance(hint, PositionHint):
+                raise ValueError(f"position family needs a PositionHint, got {hint!r}")
+            if hint.distance > farthest:
+                raise HorizonTooShort(
+                    f"hint distance {hint.distance!r} lies past horizon {horizon}: "
+                    f"the farthest anchor is {farthest:.6g}"
+                )
+        d = np.array([hint.distance for hint in hints])
+        j = np.searchsorted(anchors, d, side="left")
+        lengths = powers[None] / (anchors[j] / d)[:, None]  # shrink in [1, b_r)
+        lengths[np.arange(j.size), j] = d  # exact: rounding must not undershoot the hint
+        return _alternating_rows(lengths, (j + [hint.branch for hint in hints]) % 2)
 
-def _position_rows(anchors: np.ndarray, powers: np.ndarray, hints) -> Callable:
-    """The members of position hints within the horizon, given the arrays of
-    _position_geometry, as one record built in one broadcast: row(i) is
-    the member of hints[i]."""
-    d = np.array([hint.distance for hint in hints])
-    j = np.searchsorted(anchors, d, side="left")
-    lengths = powers[None] / (anchors[j] / d)[:, None]  # shrink in [1, b_r)
-    lengths[np.arange(j.size), j] = d  # exact: rounding must not undershoot the hint
-    # segment j searches the hinted branch
-    return _alternating_rows(lengths, (j + [hint.branch for hint in hints]) % 2)
+    def trusted_costs(record, hints, distances, branch):
+        # the member anchored at d costs 2 * (b**0 + .. + b**(j-1)) / shrink + d,
+        # NaN past the horizon; each distance is read as search_costs reads it
+        d = _reals(distances, "distance", 1.0)
+        j = np.searchsorted(anchors, d, side="left")
+        inside = j < horizon
+        j, d_in = j[inside], d[inside]
+        out = np.full(d.shape, np.nan)
+        out[inside] = 2.0 * sums[j] / (anchors[j] / d_in) + d_in
+        return out
+
+    return farthest, members, trusted_costs
 
 
 def position_hint_strategy(
@@ -125,35 +144,7 @@ def position_hint_strategy(
     """Geometric base-b_r strategy shrunk so that its anchor turn point j
     lands exactly on the hinted position, with segment j searching the hinted
     branch."""
-    anchors, powers = _position_geometry(r, horizon, 1)
-    if not isinstance(hint, PositionHint):
-        raise ValueError(f"position family needs a PositionHint, got {hint!r}")
-    if hint.distance > anchors[-1]:
-        raise HorizonTooShort(
-            f"hint distance {hint.distance!r} lies past horizon {anchors.size}: "
-            f"the farthest anchor is {anchors[-1]:.6g}"
-        )
-    return _position_rows(anchors, powers, [hint])(0)
-
-
-def _position_trusted_costs(anchors: np.ndarray, powers: np.ndarray):
-    """Batched trusted cost of the position family: the member anchored at
-    each target costs 2 * (b**0 + .. + b**(j-1)) / shrink + d, where j is the
-    smallest index with b**j >= d and shrink = b**j / d.  NaN where j falls
-    past the horizon.  Each distance is read as search_costs reads it."""
-    sums = np.zeros(anchors.size + 1)
-    np.cumsum(powers, out=sums[1:])
-
-    def trusted_costs(members, hints, distances, branch):
-        d = _reals(distances, "distance", 1.0)
-        j = np.searchsorted(anchors, d, side="left")
-        inside = j < anchors.size
-        j, d_in = j[inside], d[inside]
-        out = np.full(d.shape, np.nan)
-        out[inside] = 2.0 * sums[j] / (anchors[j] / d_in) + d_in
-        return out
-
-    return trusted_costs
+    return _position_rule(r, horizon, 1)[1]([hint])(0)
 
 
 _HINTS_PER_DECADE = 128
@@ -166,7 +157,9 @@ def position_family(
     hints_per_decade: float = _HINTS_PER_DECADE,
 ) -> HintedStrategy:
     """Position-hint family with a log-spaced hint grid from distance 1 to
-    2**20 on each branch standing in for the continuous hint space."""
+    exactly 2**20 on each branch standing in for the continuous hint space.
+    An off-grid hint's member is built on demand by the same anchor rule; a
+    hint past the horizon raises HorizonTooShort at ``select``."""
     hints_per_decade = _real(hints_per_decade, "hints_per_decade", 0.0, open_lo=True)
     decades = math.log10(_MAX_HINT_DISTANCE)
     if math.isinf(decades * hints_per_decade):
@@ -176,20 +169,21 @@ def position_family(
     count = max(2, int(round(decades * hints_per_decade)) + 1)
     # the CLI keeps the default grid: a finer one is what grew
     lower = "hints_per_decade" if hints_per_decade > _HINTS_PER_DECADE else "--horizon"
-    anchors, powers = _position_geometry(r, horizon, 2 * count, lower)
-    distances = np.logspace(0.0, decades, count).tolist()
-    hint_space = tuple(PositionHint(d, b) for b in (0, 1) for d in distances)
+    farthest, members, trusted_costs = _position_rule(r, horizon, 2 * count, lower)
+    distances = np.logspace(0.0, decades, count)
+    distances[-1] = _MAX_HINT_DISTANCE  # logspace ends a few ulps past it
+    hint_space = tuple(PositionHint(d, b) for b in (0, 1) for d in distances.tolist())
     # Grid hints past the horizon get no member: select raises for them.
-    grid = [hint for hint in hint_space if hint.distance <= anchors[-1]]
-    row = _position_rows(anchors, powers, grid)
+    grid = [hint for hint in hint_space if hint.distance <= farthest]
+    row = members(grid)
     index = {hint: i for i, hint in enumerate(grid)}
 
     def select(hint) -> Strategy:
         i = index.get(hint) if isinstance(hint, PositionHint) else None
-        # off the grid, past the horizon or not a position hint: built alone
-        return position_hint_strategy(r, hint, anchors.size) if i is None else row(i)
+        # off the grid, past the horizon or not a position hint: the rule alone
+        return members([hint])(0) if i is None else row(i)
 
-    return HintedStrategy(select, hint_space, _position_trusted_costs(anchors, powers))
+    return HintedStrategy(select, hint_space, trusted_costs)
 
 
 def direction_trusted_costs(

@@ -254,6 +254,18 @@ class TestEval:
         assert code == 3 and out == ""
         assert "hint distance" in err and "past horizon 3" in err
 
+    def test_position_grid_ends_at_the_farthest_anchor(self, capsys):
+        # at r = 9 the 21st anchor is exactly 2**20, the end of the hint grid
+        code, out, err = run(
+            capsys, "eval", "--family", "position", "--r-params", "r=9",
+            "--horizon", "21",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "method=measured converged=false"
+        assert err.startswith(
+            "warning: the ratio terms have not settled within horizon 21;"
+        )
+
     @pytest.mark.parametrize(
         "family,params", [("kbit", "r=9,k=2"), ("direction", "b=2,delta=1")]
     )

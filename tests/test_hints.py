@@ -29,6 +29,7 @@ from cowpath.model import (
     Target,
     search_cost,
 )
+from cowpath.ratios import evaluate_hinted
 
 
 def _label_at(partition, distance, branch):
@@ -83,13 +84,29 @@ class TestPositionHintStrategy:
             return original(r)
 
         monkeypatch.setattr(hints, "base_for_robustness", counting)
-        fam = position_family(9.0, horizon=40)
-        chosen = fam.hint_space[::97]
+        fam = position_family(9.0, horizon=15)  # farthest anchor 2**14
+        chosen = [h for h in fam.hint_space[::97] if h.distance <= 2.0**14]
+        # an off-grid hint is built by the same rule, not derived again
+        chosen.append(PositionHint(5.0, 1))
+        assert chosen[-1] not in fam.hint_space
         members = [fam.select(h) for h in chosen]
+        # so is the check of a grid hint past the horizon
+        with pytest.raises(HorizonTooShort, match="past horizon 15"):
+            fam.select(fam.hint_space[-1])
         assert calls["base"] == 1
         # bit-identical to the members built one at a time
         for h, member in zip(chosen, members):
-            assert member == position_hint_strategy(9.0, h, 40)
+            assert member == position_hint_strategy(9.0, h, 15)
+
+    def test_grid_ends_exactly_at_the_farthest_anchor(self):
+        # base 2 at r = 9: the 21st anchor is 2**20, the end of the grid
+        for hints_per_decade in (8, 128):
+            fam = position_family(9.0, 21, hints_per_decade)
+            last = fam.hint_space[-1]
+            assert last.distance == 2.0**20
+            assert fam.select(last).lengths[20] == 2.0**20
+            point = evaluate_hinted(fam)
+            assert point.consistency < 3.0 and point.robustness < 9.0
 
     def test_wrong_hint_type(self):
         with pytest.raises(ValueError, match="PositionHint"):
@@ -117,7 +134,7 @@ class TestPositionHintStrategy:
         hints = fam.hint_space
         assert {h.branch for h in hints} == {0, 1}
         assert min(h.distance for h in hints) == 1.0
-        assert max(h.distance for h in hints) == pytest.approx(2.0**20)
+        assert max(h.distance for h in hints) == 2.0**20
         assert len(hints) == 2 * 97  # 16 per decade over log10(2**20) decades
         member = fam.select(hints[0])
         assert search_cost(member, Target(hints[0].distance, hints[0].branch))
@@ -140,7 +157,7 @@ class TestPositionHintStrategy:
 
     def test_too_many_hints_says_lower_hints_per_decade(self, monkeypatch):
         built = []
-        monkeypatch.setattr(hints, "_position_rows", lambda *a: built.append(a))
+        monkeypatch.setattr(hints, "_alternating_rows", lambda *a: built.append(a))
         with pytest.raises(ValueError, match="12041202 members") as info:
             position_family(9.0, hints_per_decade=10**6)
         assert str(info.value).endswith("(lower hints_per_decade)")
