@@ -7,9 +7,8 @@ the direction frontier included.
 This module is the package's numpy-free layer: it imports only the
 standard library, so `cowpath --help`, usage errors and `cowpath frontier`
 never load numpy.  The scalar pieces the other modules share (the robust
-base interval, the k-bit base, the parameter checks, the integer and real
-rules, the admission rule of member records, TradeoffPoint) live here for
-that reason.
+base, the k-bit base, the parameter checks, the integer and real rules, the
+admission rule of member records, TradeoffPoint) live here for that reason.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ if TYPE_CHECKING:
 __all__ = [
     "DEFAULT_HORIZON",
     "HorizonTooShort",
-    "rho",
     "base_for_robustness",
-    "robust_base_interval",
     "kbit_base",
     "TradeoffPoint",
     "FrontierPoint",
@@ -45,12 +42,10 @@ __all__ = [
     "kbit_floor",
     "check_segment_growth_lemma",
     "check_prefix_sum_bound",
-    "robust_base_grid",
     "growth_lemma_sweep",
     "prefix_bound_sweep",
     "frontier_curve",
     "build_frontiers",
-    "frontier_to_csv",
 ]
 
 DEFAULT_HORIZON = 64
@@ -60,7 +55,7 @@ class HorizonTooShort(Exception):
     """A required target lies beyond every candidate's finite segment prefix."""
 
 
-def rho(r: float) -> float:
+def _rho(r: float) -> float:
     """Half the allowed overhead, (r - 1) / 2; defined for r >= 9."""
     return (_budget(r) - 1.0) / 2.0
 
@@ -73,14 +68,14 @@ def _budget(r: object) -> float:
 def base_for_robustness(r: float) -> float:
     """Largest geometric base whose ratio 1 + 2*b^2/(b-1) still meets r.
 
-    The identity b^2/(b-1) == rho(r) holds for the returned base.
+    The identity b^2/(b-1) == _rho(r) holds for the returned base.
     """
-    return robust_base_interval(r)[1]
+    return _robust_base_interval(r)[1]
 
 
-def robust_base_interval(r: float) -> tuple[float, float]:
-    """Both roots of b^2/(b-1) = rho(r): the r-robust base interval."""
-    p = rho(r)
+def _robust_base_interval(r: float) -> tuple[float, float]:
+    """Both roots of b^2/(b-1) = _rho(r): the r-robust base interval."""
+    p = _rho(r)
     # sqrt(p*p - 4p) in two factors: p*p overflows past p ~ 1.3e154
     hi = (p + math.sqrt(p) * math.sqrt(p - 4.0)) / 2.0
     # The roots multiply to p; (p - sqrt(p*p - 4p)) / 2 would cancel at large r.
@@ -211,10 +206,10 @@ _MAX_K = 511  # largest k with (1 + 2**k)**2 a finite float
 
 
 def kbit_base(r: float, k: int) -> float:
-    """Growth base of the k-bit family: b_r while rho(r) stays below
+    """Growth base of the k-bit family: b_r while _rho(r) stays below
     (1+2**k)**2 / 2**k, then the constant 1 + 2**k."""
     k = _integer(k, "k", 1, _MAX_K)
-    p = rho(r)
+    p = _rho(r)
     threshold = (1.0 + 2.0**k) ** 2 / 2.0**k
     if p <= threshold:
         return base_for_robustness(r)
@@ -325,7 +320,7 @@ def _direction_point(r: float) -> FrontierPoint:
     2u**2 + (3 - r)u + (r - 1) = 0.  The base-interval endpoints give c = r
     and never win.
     """
-    p = rho(r)
+    p = _rho(r)
     candidates = []
     u = p / (math.sqrt(p) - 1.0)
     denom = (p - 1.0) * u - p
@@ -445,24 +440,22 @@ def _report(
     )
 
 
-def robust_base_grid(r: float) -> list[float]:
-    """20 evenly spaced bases spanning the feasible interval at budget r: the
-    points of numpy.linspace(lo, hi, 20), lo + i * step with the last one
-    exactly hi."""
-    lo, hi = robust_base_interval(r)
-    step = (hi - lo) / 19
-    return [lo + i * step for i in range(19)] + [hi]
-
-
-# The sweep grid of both inequality sweeps: these budgets, the bases of
-# robust_base_grid at each, and geometric strategies of 101 segments.
+# The sweep grid of both inequality sweeps: these budgets, 20 bases at each,
+# and geometric strategies of 101 segments.
 _SWEEP_RS = (9.0, 10.0, 13.0, 25.0)
 _SWEEP_HORIZON = 101
 
 
 def _sweep_cells() -> list[tuple[float, float]]:
-    """The (r, b) of each report of a sweep, in order."""
-    return [(r, b) for r in _SWEEP_RS for b in robust_base_grid(r)]
+    """The (r, b) of each report of a sweep, in order: at each budget r, 20
+    evenly spaced bases spanning the feasible interval, the points of
+    numpy.linspace(lo, hi, 20), lo + i * step with the last one exactly hi."""
+    cells = []
+    for r in _SWEEP_RS:
+        lo, hi = _robust_base_interval(r)
+        step = (hi - lo) / 19
+        cells += [(r, lo + i * step) for i in range(19)] + [(r, hi)]
+    return cells
 
 
 def _geometric_sweep(check) -> list[InequalityReport]:
@@ -488,8 +481,9 @@ def frontier_curve(
 ) -> FrontierCurve:
     """Frontier curve of one hint class at the given budgets: position
     (tight), direction (exact optimum), onebit and kbit (upper bound with the
-    class floor as lower); k is used by kbit only."""
+    class floor as lower); k is checked for every class, used by kbit only."""
     rs = [_budget(r) for r in r_values]
+    k = _integer(k, "k", 1, _MAX_K)
     if hint_class == "direction":
         return direction_frontier(rs)
     if hint_class == "position":
@@ -498,7 +492,6 @@ def frontier_curve(
         k = 1
         pairs = [(onebit_consistency_upper(r), onebit_lower(r).value) for r in rs]
     elif hint_class == "kbit":
-        k = _integer(k, "k", 1, _MAX_K)
         pairs = [(kbit_consistency_upper(r, k), kbit_floor().value) for r in rs]
     else:
         raise ValueError(f"unknown hint_class {hint_class!r}")
@@ -511,26 +504,3 @@ def build_frontiers(r_values: Sequence[float], k: int = 2) -> list[FrontierCurve
     direction, onebit, then the kbit curve of k bits."""
     hint_classes = ("position", "direction", "onebit", "kbit")
     return [frontier_curve(c, r_values, k) for c in hint_classes]
-
-
-def frontier_to_csv(curves: Sequence[FrontierCurve]) -> str:
-    """CSV with header hint_class,k,r,c_upper,c_lower,b_star,delta_star;
-    numbers use 9 significant digits, '.' decimal separator, 'inf' for
-    infinity, empty for absent fields."""
-
-    def num(value: Optional[float]) -> str:
-        if value is None:
-            return ""
-        if math.isinf(value):
-            return "inf"
-        return f"{value:.9g}"
-
-    lines = ["hint_class,k,r,c_upper,c_lower,b_star,delta_star"]
-    for curve in curves:
-        k_str = "" if curve.k is None else str(curve.k)
-        for p in curve.points:
-            lines.append(
-                f"{curve.hint_class},{k_str},{num(p.r)},{num(p.c_upper)},"
-                f"{num(p.c_lower)},{num(p.b_star)},{num(p.delta_star)}"
-            )
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Command-line front end: build strategies, evaluate tradeoffs, emit
-frontier tables and partition data.
+frontier tables and partition data.  Every file format the CLI reads or
+writes lives here: strategy JSON, frontier CSV, partition JSON and CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 horizon too short.
@@ -16,13 +17,14 @@ from typing import Optional, Sequence
 
 from .bounds import (
     DEFAULT_HORIZON,
+    FrontierCurve,
     HorizonTooShort,
     _integer,
+    _real,
     _sweep_cells,
     build_frontiers,
     check_segment_growth_lemma,
     frontier_curve,
-    frontier_to_csv,
     growth_lemma_sweep,
     prefix_bound_sweep,
 )
@@ -103,6 +105,69 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _strategy_from_json(obj: object):
+    """Parse the strategy JSON object form, {"segments": [{"length": ..,
+    "branch": 0|1}, ..]}; errors name the offending field."""
+    import numpy as np
+
+    from .model import Strategy, _check_branch
+
+    if not isinstance(obj, dict):
+        raise ValueError("strategy JSON must be an object")
+    if "segments" not in obj:
+        raise ValueError("strategy JSON is missing field 'segments'")
+    raw = obj["segments"]
+    if not isinstance(raw, list):
+        raise ValueError("field 'segments' must be a list")
+    lengths, branches = [], []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValueError(f"segments[{i}] must be an object")
+        for key in ("length", "branch"):
+            if key not in entry:
+                raise ValueError(f"segments[{i}] is missing field '{key}'")
+        try:
+            lengths.append(_real(entry["length"], "segment length", 0.0, open_lo=True))
+            branches.append(_check_branch(entry["branch"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"segments[{i}]: {exc}") from exc
+    return Strategy(np.array(lengths), np.array(branches))  # read once, above
+
+
+def _frontier_to_csv(curves: Sequence[FrontierCurve]) -> str:
+    """CSV with header hint_class,k,r,c_upper,c_lower,b_star,delta_star;
+    numbers use 9 significant digits, '.' decimal separator, 'inf' for
+    infinity, empty for absent fields."""
+
+    def num(value: Optional[float]) -> str:
+        if value is None:
+            return ""
+        if math.isinf(value):
+            return "inf"
+        return f"{value:.9g}"
+
+    lines = ["hint_class,k,r,c_upper,c_lower,b_star,delta_star"]
+    for curve in curves:
+        k_str = "" if curve.k is None else str(curve.k)
+        for p in curve.points:
+            lines.append(
+                f"{curve.hint_class},{k_str},{num(p.r)},{num(p.c_upper)},"
+                f"{num(p.c_lower)},{num(p.b_star)},{num(p.delta_star)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _partition_to_json(partition) -> dict:
+    """JSON form: {"branch0": [{"lo": .., "hi": .., "label": ..}, ..], ..}."""
+    return {
+        f"branch{branch}": [
+            {"lo": iv.lo, "hi": iv.hi, "label": iv.label}
+            for iv in partition.intervals(branch)
+        ]
+        for branch in (0, 1)
+    }
+
+
 def _print_strategy_report(strategy) -> None:
     import numpy as np
 
@@ -120,7 +185,7 @@ def _print_strategy_report(strategy) -> None:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .bounds import _MAX_SEGMENTS  # the limit make_geometric admits now
     from .hints import direction_family, kbit_family, position_family
-    from .model import make_geometric, strategy_from_json
+    from .model import make_geometric
     from .ratios import evaluate_hinted
 
     sources = (args.file, args.json, args.geometric, args.family)
@@ -130,10 +195,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as fh:
-            _print_strategy_report(strategy_from_json(json.load(fh)))
+            _print_strategy_report(_strategy_from_json(json.load(fh)))
         return 0
     if args.json is not None:
-        _print_strategy_report(strategy_from_json(json.loads(args.json)))
+        _print_strategy_report(_strategy_from_json(json.loads(args.json)))
         return 0
     if args.geometric is not None:
         fields = {"b": None, "n": float(DEFAULT_HORIZON), "scale": 1.0, "first": 0.0}
@@ -182,7 +247,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         curves = build_frontiers(args.r, args.k)
     else:
         curves = [frontier_curve(args.hint_class, args.r, args.k)]
-    _write_text(args.output, frontier_to_csv(curves))
+    _write_text(args.output, _frontier_to_csv(curves))
     return 0
 
 
@@ -242,13 +307,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    from .hints import partition_to_json, preferred_partition
+    from .hints import preferred_partition
 
     for name in ("r", "k", "max"):
         if getattr(args, name) is None:
             raise ValueError(f"partition needs --{name}")
     part = preferred_partition(args.r, args.k, args.max, args.horizon)
-    payload = json.dumps(partition_to_json(part), indent=2) + "\n"
+    payload = json.dumps(_partition_to_json(part), indent=2) + "\n"
     rows = ["branch,lo,hi,label"]
     for branch in (0, 1):
         for iv in part.intervals(branch):

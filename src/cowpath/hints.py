@@ -52,17 +52,15 @@ __all__ = [
     "LinePartition",
     "position_hint_strategy",
     "position_family",
-    "direction_trusted_costs",
     "direction_family",
     "kbit_family",
     "best_hint_index",
     "preferred_partition",
-    "partition_to_json",
 ]
 
 
 def cheapest_trusted_costs(
-    members: Members, hints: tuple[Hint, ...], distances: np.ndarray, branch: int
+    members: Members, distances: np.ndarray, branch: int
 ) -> np.ndarray:
     """Batched trusted cost when every hint is trusted: the cheapest member
     at each distance (inf where none finds the target)."""
@@ -78,19 +76,18 @@ class HintedStrategy:
     once, when it is built, as the rows of one record checked in one pass,
     so ``select`` checks only the hint and looks its member up.
     ``hint_space`` is the finite set of admissible hints (a grid when the
-    true space is continuous).  ``trusted_costs(members, hints, distances,
-    branch)`` is the family's trusted-hint rule: the cost of the trusted
-    member at every distance on one branch (NaN or inf where it misses),
-    given the members as one Members record whose row i is
-    ``select(hints[i])``; the default trusts the whole hint space, so the
-    member that finds the target cheapest counts.  Families compare by
-    identity.
+    true space is continuous).  ``trusted_costs(members, distances, branch)``
+    is the family's trusted-hint rule: the cost of the trusted member at
+    every distance on one branch (NaN or inf where it misses), given the
+    members as one Members record whose row i is ``select(hint_space[i])``;
+    the default trusts the whole hint space, so the member that finds the
+    target cheapest counts.  Families compare by identity.
     """
 
     select: Callable[[Hint], Strategy]
     hint_space: tuple[Hint, ...]
     trusted_costs: Callable[
-        [Members, tuple[Hint, ...], np.ndarray, int], np.ndarray
+        [Members, np.ndarray, int], np.ndarray
     ] = cheapest_trusted_costs
 
 
@@ -124,7 +121,7 @@ def _position_rule(r: float, horizon: int, rows: int, lower: str = "--horizon"):
         lengths[np.arange(j.size), j] = d  # exact: rounding must not undershoot the hint
         return _alternating_rows(lengths, (j + [hint.branch for hint in hints]) % 2)
 
-    def trusted_costs(record, hints, distances, branch):
+    def trusted_costs(record, distances, branch):
         # the member anchored at d costs 2 * (b**0 + .. + b**(j-1)) / shrink + d,
         # NaN past the horizon; each distance is read as search_costs reads it
         d = _reals(distances, "distance", 1.0)
@@ -186,15 +183,6 @@ def position_family(
     return HintedStrategy(select, hint_space, trusted_costs)
 
 
-def direction_trusted_costs(
-    members: Members, hints: tuple[Hint, ...], distances: np.ndarray, branch: int
-) -> np.ndarray:
-    """Batched trusted cost of the direction family: the member that
-    searches ``branch`` first."""
-    row = members.row(hints.index(DirectionHint(branch)))
-    return search_costs(row, distances, branch)
-
-
 def direction_family(
     b: float, delta: float, horizon: int = DEFAULT_HORIZON
 ) -> HintedStrategy:
@@ -210,9 +198,11 @@ def direction_family(
             raise ValueError(f"direction family needs a DirectionHint, got {hint!r}")
         return row(hint.branch)
 
-    return HintedStrategy(
-        select, (DirectionHint(0), DirectionHint(1)), direction_trusted_costs
-    )
+    def trusted_costs(members, distances, branch):
+        # row b is the member of DirectionHint(b), which searches b first
+        return search_costs(members.row(branch), distances, branch)
+
+    return HintedStrategy(select, (DirectionHint(0), DirectionHint(1)), trusted_costs)
 
 
 def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrategy:
@@ -326,14 +316,3 @@ def preferred_partition(
         los, his = bounds[starts].tolist(), bounds[ends].tolist()
         sides.append(tuple(map(LabeledInterval, los, his, labels[starts].tolist())))
     return LinePartition(*sides)
-
-
-def partition_to_json(partition: LinePartition) -> dict:
-    """JSON form: {"branch0": [{"lo": .., "hi": .., "label": ..}, ..], ..}."""
-    return {
-        f"branch{branch}": [
-            {"lo": iv.lo, "hi": iv.hi, "label": iv.label}
-            for iv in partition.intervals(branch)
-        ]
-        for branch in (0, 1)
-    }

@@ -31,8 +31,6 @@ __all__ = [
     "Members",
     "search_costs",
     "cheapest_search_costs",
-    "strategy_to_json",
-    "strategy_from_json",
 ]
 
 # Relative slack for float comparisons inside structural invariants.
@@ -408,33 +406,3 @@ def cheapest_search_costs(
     reach, before, member = reach[order], before[order], member[order]
     costs, pos = _first_reaching(reach[None], before[None], d.reshape(1, -1))
     return costs.reshape(d.shape), member[pos].reshape(d.shape)
-
-
-def strategy_to_json(strategy: Strategy) -> dict:
-    """JSON object form: {"segments": [{"length": .., "branch": 0|1}, ..]}."""
-    pairs = zip(strategy.lengths.tolist(), strategy.branches.tolist())
-    return {"segments": [{"length": x, "branch": b} for x, b in pairs]}
-
-
-def strategy_from_json(obj: object) -> Strategy:
-    """Parse the strategy JSON object form; errors name the offending field."""
-    if not isinstance(obj, dict):
-        raise ValueError("strategy JSON must be an object")
-    if "segments" not in obj:
-        raise ValueError("strategy JSON is missing field 'segments'")
-    raw = obj["segments"]
-    if not isinstance(raw, list):
-        raise ValueError("field 'segments' must be a list")
-    lengths, branches = [], []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValueError(f"segments[{i}] must be an object")
-        for key in ("length", "branch"):
-            if key not in entry:
-                raise ValueError(f"segments[{i}] is missing field '{key}'")
-        try:
-            lengths.append(_real(entry["length"], "segment length", 0.0, open_lo=True))
-            branches.append(_check_branch(entry["branch"]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"segments[{i}]: {exc}") from exc
-    return Strategy(np.array(lengths), np.array(branches))  # read once, above

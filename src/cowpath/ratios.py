@@ -193,7 +193,7 @@ def evaluate_hinted(
 
     consistency = 1.0
     for branch in (0, 1):
-        costs = family.trusted_costs(members, hints, distances, branch)
+        costs = family.trusted_costs(members, distances, branch)
         missed = ~np.isfinite(costs)
         if missed.any():
             d_bad = float(distances[missed][0])

@@ -9,6 +9,8 @@ from cowpath.bounds import (
     FrontierCurve,
     FrontierPoint,
     LowerBound,
+    _robust_base_interval,
+    _sweep_cells,
     base_for_robustness,
     build_frontiers,
     check_prefix_sum_bound,
@@ -16,7 +18,6 @@ from cowpath.bounds import (
     direction_frontier,
     direction_tradeoff,
     frontier_curve,
-    frontier_to_csv,
     growth_lemma_sweep,
     kbit_consistency_upper,
     kbit_floor,
@@ -24,9 +25,8 @@ from cowpath.bounds import (
     onebit_lower,
     position_consistency_bound,
     prefix_bound_sweep,
-    robust_base_grid,
-    robust_base_interval,
 )
+from cowpath.cli import _frontier_to_csv
 from cowpath.model import make_geometric, strategy_from_lengths
 
 
@@ -88,7 +88,7 @@ def _oracle_direction_c(r: float) -> float:
             return math.inf
         return 1.0 + 2.0 * (b * b + delta * b**3) / (b * b - 1.0)
 
-    lo, hi = robust_base_interval(r)
+    lo, hi = _robust_base_interval(r)
     lo = max(lo, 1.0 + 1e-6)
     hi = min(hi, 50.0)
     candidates = list(np.linspace(lo, hi, 1_000_001))
@@ -266,7 +266,7 @@ class TestSweeps:
         assert max(max(rep.margins) for rep in reports) <= 1e-9
 
     def test_base_grid_spans_interval(self):
-        grid = robust_base_grid(10.0)
+        grid = [b for r, b in _sweep_cells() if r == 10.0]
         assert grid[0] == 1.5 and grid[-1] == 3.0 and len(grid) == 20
 
 
@@ -303,13 +303,13 @@ class TestBuildFrontiers:
 
     def test_huge_budgets_finite(self):
         # rho(r)**2 overflows past r ~ 2.7e154; b_r must not turn into nan
-        csv = frontier_to_csv(build_frontiers([1e200, 1e308], k=3))
+        csv = _frontier_to_csv(build_frontiers([1e200, 1e308], k=3))
         assert "nan" not in csv
         rows = {tuple(line.split(",")[:3]): line for line in csv.splitlines()[1:]}
         assert rows["position", "", "1e+200"] == "position,,1e+200,1,1,,"
         assert rows["position", "", "1e+308"] == "position,,1e+308,1,1,,"
         assert rows["onebit", "1", "1e+308"].split(",")[4] == "3"
-        assert base_for_robustness(1e308) == robust_base_interval(1e308)[1] > 1e307
+        assert base_for_robustness(1e308) == _robust_base_interval(1e308)[1] > 1e307
 
 
 class TestFrontierTypes:
@@ -338,7 +338,7 @@ class TestFrontierTypes:
             ),
             FrontierCurve("kbit", 3, (FrontierPoint(9.0, math.inf, 3.0),)),
         ]
-        text = frontier_to_csv(curves)
+        text = _frontier_to_csv(curves)
         lines = text.splitlines()
         assert lines[0] == "hint_class,k,r,c_upper,c_lower,b_star,delta_star"
         assert lines[1] == "direction,,9,9,9,2,1"
@@ -351,5 +351,5 @@ class TestFrontierTypes:
             None,
             (FrontierPoint(9.123456789012, 3.141592653589793, 3.0),),
         )
-        line = frontier_to_csv([curve]).splitlines()[1]
+        line = _frontier_to_csv([curve]).splitlines()[1]
         assert line == "position,,9.12345679,3.14159265,3,,"

@@ -17,13 +17,19 @@ from hypothesis import strategies as st
 from cowpath import bounds, cli, ratios
 from cowpath.cli import main
 from cowpath.hints import direction_family, kbit_family, position_family
-from cowpath.model import DirectionHint, make_geometric, strategy_to_json
+from cowpath.model import DirectionHint, make_geometric
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strategy_json(strategy):
+    """The strategy JSON object {"segments": [{"length": .., "branch": ..}, ..]}."""
+    pairs = zip(strategy.lengths.tolist(), strategy.branches.tolist())
+    return {"segments": [{"length": x, "branch": b} for x, b in pairs]}
 
 
 class TestEval:
@@ -74,7 +80,7 @@ class TestEval:
     def test_file_round_trip_matches_family(self, capsys, tmp_path):
         member = direction_family(2.0, 1.0).select(DirectionHint(0))
         path = tmp_path / "member.json"
-        path.write_text(json.dumps(strategy_to_json(member)))
+        path.write_text(json.dumps(_strategy_json(member)))
         code, out, _ = run(capsys, "eval", "--file", str(path))
         assert code == 0
         cr = float(out.splitlines()[0].split("=")[1].split()[0])
@@ -89,7 +95,7 @@ class TestEval:
         # report applies the per-branch rule the family eval applies
         member = direction_family(2.0, 0.5).select(DirectionHint(0))
         path = tmp_path / "member.json"
-        path.write_text(json.dumps(strategy_to_json(member)))
+        path.write_text(json.dumps(_strategy_json(member)))
         code, out, _ = run(capsys, "eval", "--file", str(path))
         assert code == 0
         assert out.splitlines() == [
@@ -474,6 +480,16 @@ class TestFrontier:
         assert "k must be <= 511, got 2000" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("hint_class", ["position", "direction", "onebit"])
+    def test_bad_k_exits_2_for_every_class(self, capsys, hint_class, k):
+        # k is read before the class is, though only kbit uses it
+        code, out, err = run(
+            capsys, "frontier", "--class", hint_class, "--r", "9", "--k", k
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: k must be >= 1, got {k}\n"
+
     def test_kbit_k3(self, capsys):
         code, out, _ = run(
             capsys, "frontier", "--class", "kbit", "--k", "3", "--r", "9"
@@ -760,7 +776,7 @@ class TestConfig:
         self, capsys, tmp_path, monkeypatch, command, key, positional
     ):
         monkeypatch.chdir(tmp_path)
-        doubling = strategy_to_json(make_geometric(2.0, 64))
+        doubling = _strategy_json(make_geometric(2.0, 64))
         (tmp_path / "strategy.json").write_text(json.dumps(doubling))
         rest, value = _CONFIG_SAMPLES[command][key]
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
@@ -1082,7 +1098,7 @@ class TestTopLevel:
         code = (
             "import cowpath\n"
             "assert 'Strategy' not in vars(cowpath)\n"
-            "cowpath.rho\n"
+            "cowpath.kbit_base\n"
             "bound = vars(cowpath)\n"
             "modules = [bound[m] for m in ('model', 'ratios', 'hints', 'bounds')]\n"
             "assert bound['__all__'] == [n for m in modules for n in m.__all__]\n"

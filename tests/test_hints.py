@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from cowpath import bounds, hints
+from cowpath.cli import _partition_to_json
 from cowpath.hints import (
     LabeledInterval,
     LinePartition,
     best_hint_index,
     direction_family,
     kbit_family,
-    partition_to_json,
     position_family,
     position_hint_strategy,
     preferred_partition,
@@ -440,7 +440,7 @@ class TestPartition:
 class TestPartitionJson:
     def test_round_trip(self):
         part = preferred_partition(9.0, 2, 32.0)
-        obj = partition_to_json(part)
+        obj = _partition_to_json(part)
         sides = [
             tuple(LabeledInterval(**entry) for entry in obj[f"branch{branch}"])
             for branch in (0, 1)

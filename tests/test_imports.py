@@ -1,5 +1,6 @@
 """Every name a module of the package, the tests or the demos imports is
-used in that module, and the package uses only numpy's core.
+used in that module, every public name has a reader, and the package uses
+only numpy's core.
 
 A removed option or function tends to leave its imports behind (a typing
 name, a helper); this check, built on the stdlib ``ast`` module only, finds
@@ -9,6 +10,7 @@ them.  Names imported from ``__future__`` and names a module lists in
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -18,6 +20,17 @@ MODULES = sorted(
     for folder in (ROOT / "src" / "cowpath", ROOT / "tests", ROOT / "demos")
     for path in folder.glob("*.py")
 )
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    """The names the module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -32,14 +45,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__"
-            for target in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
-    unused = set(imported) - used - exported
+    unused = set(imported) - used - set(_exported(tree))
     return sorted(f"{name} (line {imported[name]})" for name in unused)
 
 
@@ -58,6 +64,49 @@ def test_unused_import_is_found():
         "x: Seq[int] = []\n"
     )
     assert _unused_imports(tree) == ["os (line 2)"]
+
+
+# The record types public functions return: a caller reads their fields and
+# need never name them.
+RETURNED_RECORDS = {
+    "LowerBound", "FrontierPoint", "FrontierCurve", "InequalityReport",
+    "LabeledInterval",
+}
+
+
+def _unread_names(package: list, readers: list) -> list[str]:
+    """The names a package module lists in ``__all__`` that no other module
+    of ``package`` and no file of ``readers`` mentions, as module.name."""
+    texts = {path: path.read_text(encoding="utf-8") for path in [*package, *readers]}
+    unread = []
+    for path in package:
+        for name in _exported(ast.parse(texts[path], filename=str(path))):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for p, text in texts.items() if p != path):
+                unread.append(f"{path.stem}.{name}")
+    return unread
+
+
+def test_every_public_name_has_a_reader():
+    """A public name only its own module reads is surface to keep for no
+    one: the package's other modules, the demos, the benchmark, the README
+    or the acceptance tests must read it."""
+    readers = [
+        *sorted((ROOT / "demos").glob("*.py")),
+        *sorted((ROOT / "bench").glob("*.py")),
+        ROOT / "README.md",
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    unread = _unread_names(PACKAGE, readers)
+    assert [n for n in unread if n.split(".")[1] not in RETURNED_RECORDS] == []
+
+
+def test_unread_name_is_found(tmp_path):
+    (tmp_path / "a.py").write_text("__all__ = ['f', 'g', 'h']\n")
+    (tmp_path / "b.py").write_text("from .a import f\n")
+    (tmp_path / "README.md").write_text("call `g(x)`; fg and h_ are other words\n")
+    package = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert _unread_names(package, [tmp_path / "README.md"]) == ["a.h"]
 
 
 # Each loads a numpy submodule: np.random loads numpy.random, and np.ma and

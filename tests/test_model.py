@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from cowpath import model
-from cowpath.bounds import base_for_robustness, rho, robust_base_interval
+from cowpath.bounds import _rho, _robust_base_interval, base_for_robustness
+from cowpath.cli import _strategy_from_json
 from cowpath.model import (
     BitStringHint,
     DirectionHint,
@@ -20,9 +21,7 @@ from cowpath.model import (
     scale_strategy,
     search_cost,
     search_costs,
-    strategy_from_json,
     strategy_from_lengths,
-    strategy_to_json,
 )
 
 
@@ -34,7 +33,7 @@ class TestSegment:
         s = Strategy([2], [1])
         assert s.lengths.dtype == np.float64 and s.lengths[0] == 2.0
         assert s.branches.dtype == np.int64 and s.branches[0] == 1
-        s = strategy_from_json({"segments": [{"length": 2, "branch": 1.0}]})
+        s = _strategy_from_json({"segments": [{"length": 2, "branch": 1.0}]})
         assert s == Strategy([2.0], [1])
 
     @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
@@ -44,7 +43,7 @@ class TestSegment:
         with pytest.raises(ValueError, match="^" + text):
             Strategy([length], [0])
         with pytest.raises(ValueError, match=r"^segments\[0\]: " + text):
-            strategy_from_json({"segments": [{"length": length, "branch": 0}]})
+            _strategy_from_json({"segments": [{"length": length, "branch": 0}]})
 
     @pytest.mark.parametrize("branch", [2, -1, True, False, 0.5])
     def test_bad_branch(self, branch):
@@ -55,7 +54,7 @@ class TestSegment:
         with pytest.raises(ValueError, match=text):
             Strategy([1.0, 2.0], [0, branch])
         with pytest.raises(ValueError, match=r"segments\[0\]: branch must be"):
-            strategy_from_json({"segments": [{"length": 1.0, "branch": branch}]})
+            _strategy_from_json({"segments": [{"length": 1.0, "branch": branch}]})
 
     @pytest.mark.parametrize(
         "branches, got",
@@ -320,12 +319,12 @@ class TestCheapestSearchCosts:
 
 class TestRobustBases:
     def test_rho(self):
-        assert rho(9.0) == 4.0
+        assert _rho(9.0) == 4.0
         with pytest.raises(ValueError, match=">= 9"):
-            rho(8.999)
+            _rho(8.999)
         for r in (math.inf, math.nan):
             with pytest.raises(ValueError, match="r must be finite"):
-                rho(r)
+                _rho(r)
 
     def test_known_bases(self):
         assert base_for_robustness(9.0) == 2.0
@@ -333,37 +332,39 @@ class TestRobustBases:
         assert base_for_robustness(13.0) == pytest.approx(3.0 + math.sqrt(3.0))
 
     def test_interval(self):
-        lo, hi = robust_base_interval(10.0)
+        lo, hi = _robust_base_interval(10.0)
         assert (lo, hi) == (1.5, 3.0)
-        assert robust_base_interval(9.0) == (2.0, 2.0)
+        assert _robust_base_interval(9.0) == (2.0, 2.0)
 
     def test_roots_satisfy_identity(self):
         for r in np.linspace(9.0, 60.0, 25):
-            for b in robust_base_interval(r):
-                assert b * b / (b - 1.0) == pytest.approx(rho(r), abs=1e-9)
+            for b in _robust_base_interval(r):
+                assert b * b / (b - 1.0) == pytest.approx(_rho(r), abs=1e-9)
 
     @pytest.mark.parametrize("r", [1e20, 1e154, 1.79e308])
     def test_lower_root_at_huge_r(self, r):
         # the lower root is just above 1; p - sqrt(p*p - 4p) cancels here
-        lo, hi = robust_base_interval(r)
+        lo, hi = _robust_base_interval(r)
         assert 1.0 <= lo < 1.0 + 1e-9
-        assert lo * hi == pytest.approx(rho(r), rel=1e-15)
+        assert lo * hi == pytest.approx(_rho(r), rel=1e-15)
 
 
 class TestJson:
     def test_strategy_round_trip(self):
-        s = make_geometric(2.0, 6, 1, 0.75)
-        assert strategy_from_json(strategy_to_json(s)) == s
+        segments = [{"length": 0.75 * 2.0**i, "branch": 1 - i % 2} for i in range(6)]
+        assert _strategy_from_json({"segments": segments}) == make_geometric(
+            2.0, 6, 1, 0.75
+        )
 
     def test_strategy_errors_name_fields(self):
         with pytest.raises(ValueError, match="'segments'"):
-            strategy_from_json({})
+            _strategy_from_json({})
         with pytest.raises(ValueError, match="must be a list"):
-            strategy_from_json({"segments": 3})
+            _strategy_from_json({"segments": 3})
         with pytest.raises(ValueError, match=r"segments\[1\] is missing field 'length'"):
-            strategy_from_json(
+            _strategy_from_json(
                 {"segments": [{"length": 1, "branch": 0}, {"branch": 1}]}
             )
         with pytest.raises(ValueError, match=r"segments\[0\]"):
-            strategy_from_json({"segments": [{"length": -1, "branch": 0}]})
+            _strategy_from_json({"segments": [{"length": -1, "branch": 0}]})
 

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,15 +15,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cowpath import bounds
 from cowpath.bounds import (
     HorizonTooShort,
     _real,
+    _robust_base_interval,
     base_for_robustness,
     check_prefix_sum_bound,
     check_segment_growth_lemma,
     kbit_base,
-    robust_base_grid,
-    robust_base_interval,
 )
 from cowpath.hints import (
     HintedStrategy,
@@ -141,12 +142,28 @@ def test_extension_preserves_found_costs(s, f):
     t=st.floats(min_value=0.0, max_value=1.0, **finite),
 )
 def test_robust_interval_brackets_budget(r, t):
-    lo, hi = robust_base_interval(r)
+    lo, hi = _robust_base_interval(r)
     assert 1.0 < lo <= hi
     for b in (lo, hi):
         assert b * b / (b - 1.0) == pytest.approx((r - 1.0) / 2.0, rel=1e-9)
     b = lo + t * (hi - lo)
     assert competitive_ratio(make_geometric(b, 40)) <= r + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.floats(min_value=9.0, max_value=1000.0, **finite),
+    d=st.floats(min_value=1.0, max_value=2.0**20, **finite),
+    branch=st.integers(min_value=0, max_value=1),
+)
+@example(r=9.0, d=1.0, branch=0)
+@example(r=1000.0, d=2.0**20, branch=1)
+def test_position_member_ratio_is_shrink_invariant(r, d, branch):
+    # every position member is the base-b_r strategy shrunk by a factor in
+    # [1, b_r), and shrinking keeps its ratio at r: so the finite hint grid
+    # has the robustness of the continuous hint space
+    member = position_hint_strategy(r, PositionHint(d, branch))
+    assert abs(competitive_ratio(member) - r) <= 8 * math.ulp(r)
 
 
 @settings(max_examples=50, deadline=None)
@@ -344,7 +361,7 @@ def test_batched_trusted_cost_matches_scalar_rule(family, ds):
     space = family.hint_space
     members = Members.stack([family.select(h) for h in space])
     for branch in (0, 1):
-        got = family.trusted_costs(members, space, np.asarray(ds), branch)
+        got = family.trusted_costs(members, np.asarray(ds), branch)
         for d, cost in zip(ds, got):
             target = Target(d, branch)
             hints = _trusted_hints(family, target)
@@ -691,8 +708,10 @@ def _numpy_prefix_margins(x, b):
 def test_pure_python_checks_match_numpy(s, r):
     # the numpy formulas the checks used, kept here as the oracle; the same
     # IEEE operations in the same order give equal floats
-    lo, hi = robust_base_interval(r)
-    assert robust_base_grid(r) == np.linspace(lo, hi, 20).tolist()
+    lo, hi = _robust_base_interval(r)
+    with mock.patch.object(bounds, "_SWEEP_RS", (r,)):
+        bases = [b for _, b in bounds._sweep_cells()]
+    assert bases == np.linspace(lo, hi, 20).tolist()
     b = base_for_robustness(r)
     growth = check_segment_growth_lemma(s, r)
     prefix = check_prefix_sum_bound(s, r)

@@ -11,8 +11,6 @@ import shlex
 import subprocess
 import sys
 
-from cowpath.model import make_geometric, strategy_to_json
-
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -33,7 +31,7 @@ def test_command_line_examples_run(tmp_path):
     commands = _readme_commands()
     assert len(commands) >= 10
     # the strategy file `eval --file` reads, and the config `eval --config` reads
-    doubling = strategy_to_json(make_geometric(2.0, 64))
+    doubling = {"segments": [{"length": 2.0**i, "branch": i % 2} for i in range(64)]}
     (tmp_path / "strategy.json").write_text(json.dumps(doubling))
     family = {"family": "direction", "r-params": "b=2,delta=1"}
     (tmp_path / "family.json").write_text(json.dumps(family))

@@ -8,13 +8,16 @@ with the same messages."""
 
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import cowpath
-from cowpath import model
+from cowpath import bounds, model
 from cowpath.bounds import (
+    _rho,
+    _robust_base_interval,
     base_for_robustness,
     build_frontiers,
     check_prefix_sum_bound,
@@ -27,16 +30,13 @@ from cowpath.bounds import (
     onebit_consistency_upper,
     onebit_lower,
     position_consistency_bound,
-    rho,
-    robust_base_grid,
-    robust_base_interval,
 )
+from cowpath.cli import _strategy_from_json
 from cowpath.hints import (
     LabeledInterval,
     best_hint_index,
     cheapest_trusted_costs,
     direction_family,
-    direction_trusted_costs,
     kbit_family,
     position_family,
     position_hint_strategy,
@@ -51,7 +51,6 @@ from cowpath.model import (
     make_geometric,
     scale_strategy,
     search_costs,
-    strategy_from_json,
     strategy_from_lengths,
 )
 from cowpath.ratios import TargetGrid
@@ -63,23 +62,32 @@ def _members(family):
     return [family.select(hint) for hint in family.hint_space]
 
 
+def _sweep_at(r):
+    # the cells of a sweep of the one budget r
+    with mock.patch.object(bounds, "_SWEEP_RS", (r,)):
+        return bounds._sweep_cells()
+
+
 def _json_length(value):
-    return strategy_from_json({"segments": [{"length": value, "branch": 0}]})
+    return _strategy_from_json({"segments": [{"length": value, "branch": 0}]})
 
 
 # Every real parameter of the library, as "<callable>-<parameter>": the name
 # its errors give, and a reader that passes a value as that parameter and
 # returns what was built.  Each reads 9 in range, but delta, which reads 1.
+# Some keys name a private rule by a short name: rho is _rho,
+# robust_base_interval is _robust_base_interval, robust_base_grid the bases
+# of _sweep_cells and strategy_from_json the CLI's _strategy_from_json.
 LIBRARY = {
-    "rho-r": ("r", rho),
+    "rho-r": ("r", _rho),
     "base_for_robustness-r": ("r", base_for_robustness),
-    "robust_base_interval-r": ("r", robust_base_interval),
+    "robust_base_interval-r": ("r", _robust_base_interval),
     "kbit_base-r": ("r", lambda v: kbit_base(v, 2)),
     "position_consistency_bound-r": ("r", position_consistency_bound),
     "onebit_consistency_upper-r": ("r", onebit_consistency_upper),
     "kbit_consistency_upper-r": ("r", lambda v: kbit_consistency_upper(v, 2)),
     "onebit_lower-r": ("r", onebit_lower),
-    "robust_base_grid-r": ("r", robust_base_grid),
+    "robust_base_grid-r": ("r", _sweep_at),
     "check_segment_growth_lemma-r": (
         "r", lambda v: check_segment_growth_lemma(GEOMETRIC, v)
     ),
@@ -160,7 +168,7 @@ def test_a_hint_holds_a_python_float(build, value):
 @pytest.mark.parametrize(
     "read, message",
     [
-        (lambda: rho(5), "r must be >= 9 (no base is r-robust below), got 5"),
+        (lambda: _rho(5), "r must be >= 9 (no base is r-robust below), got 5"),
         (lambda: make_geometric(1, 4), "base must be > 1, got 1"),
         (lambda: Target(np.float64(0.5), 0), "distance must be >= 1, got 0.5"),
         (lambda: PositionHint(0.5, 1), "distance must be >= 1, got 0.5"),
@@ -170,7 +178,7 @@ def test_a_hint_holds_a_python_float(build, value):
             "max_distance must be >= 1, got 0.5",
         ),
         (lambda: LabeledInterval(0.5, 2.0, 0), "lo must be >= 1, got 0.5"),
-        (lambda: rho(10**400), "r must be finite, got " + "1" + "0" * 400),
+        (lambda: _rho(10**400), "r must be finite, got " + "1" + "0" * 400),
     ],
     ids=[
         "reason", "open", "closed", "position-closed", "interval", "max_distance",
@@ -198,7 +206,8 @@ def _one_row(batch):
 
 # Every batched reader of distances or segment lengths, as in LIBRARY: the
 # name its errors give, the value just below its range, and a reader that
-# passes a batch as that parameter and returns the array it computed.
+# passes a batch as that parameter and returns the array it computed.  The
+# direction_trusted_costs row reads the direction family's trusted_costs.
 BATCHED = {
     "search_costs-distances": (
         "distance", 0.5, lambda v: search_costs(GEOMETRIC, v, 0)
@@ -208,17 +217,13 @@ BATCHED = {
     ),
     "cheapest_trusted_costs-distances": (
         "distance", 0.5,
-        lambda v: cheapest_trusted_costs(Members.stack(GEOMETRIC), (), v, 0),
+        lambda v: cheapest_trusted_costs(Members.stack(GEOMETRIC), v, 0),
     ),
     "direction_trusted_costs-distances": (
-        "distance", 0.5,
-        lambda v: direction_trusted_costs(
-            _record(DIRECTION), DIRECTION.hint_space, v, 0
-        ),
+        "distance", 0.5, lambda v: DIRECTION.trusted_costs(_record(DIRECTION), v, 0)
     ),
     "position_family-trusted_costs": (
-        "distance", 0.5,
-        lambda v: POSITION.trusted_costs(_record(POSITION), POSITION.hint_space, v, 0),
+        "distance", 0.5, lambda v: POSITION.trusted_costs(_record(POSITION), v, 0)
     ),
     "TargetGrid-distances": ("distance", 0.5, lambda v: TargetGrid(v).distances),
     "Strategy-lengths": ("segment length", -1.0, lambda v: Strategy(v, [0, 1]).lengths),
