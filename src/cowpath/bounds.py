@@ -314,20 +314,18 @@ def _direction_point(r: float) -> FrontierPoint:
     at length >= 1), with u = b**2 and rho = (r - 1)/2.
 
     Two candidates, each kept when feasible: the interior, where delta is
-    robustness-tight and c = 1 + 2u(u + rho)/((rho - 1)u - rho) is
-    stationary at u = rho/(sqrt(rho) - 1); and the edge delta = 1/b, where
-    c = 5 + 4/(u - 1) falls in u up to the larger root of
-    2u**2 + (3 - r)u + (r - 1) = 0.  The base-interval endpoints give c = r
-    and never win.
+    robustness-tight and c = 1 + 2u(u + rho)/((rho - 1)u - rho) is stationary
+    at u = rho/s, s = sqrt(rho) - 1, so c = 1 + 2(1 + 1/s)**2, b = sqrt(rho/s)
+    and delta = s**-1.5; and the edge delta = 1/b, where c = 5 + 4/(u - 1)
+    falls in u up to the larger root of 2u**2 + (3 - r)u + (r - 1) = 0.  The
+    base-interval endpoints give c = r and never win.
     """
     p = _rho(r)
     candidates = []
-    u = p / (math.sqrt(p) - 1.0)
-    denom = (p - 1.0) * u - p
-    b = math.sqrt(u)
-    delta = b**3 / denom
+    s = math.sqrt(p) - 1.0
+    b, delta = math.sqrt(p / s), s**-1.5
     if 1.0 / b <= delta <= 1.0:
-        candidates.append((1.0 + 2.0 * u * (u + p) / denom, b, delta))
+        candidates.append((1.0 + 2.0 * (1.0 + 1.0 / s) ** 2, b, delta))
     # the edge root is real once (r - 3)**2 - 8(r - 1) = (r - 7)**2 - 32 >= 0;
     # its square root is taken in two factors so nothing overflows at huge r
     lo, hi = r - 7.0 - math.sqrt(32.0), r - 7.0 + math.sqrt(32.0)

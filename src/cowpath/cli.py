@@ -105,12 +105,25 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _load_json(flag: str, text: Optional[str] = None, path: Optional[str] = None):
+    """The JSON document ``text``, or the UTF-8 file at ``path``: one json
+    cannot read is named by ``flag`` and any path (an OSError passes on)."""
+    try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        where = flag if path is None else f"{flag} {path}"
+        raise ValueError(f"{where}: not JSON: {exc}") from None
+
+
 def _strategy_from_json(obj: object):
     """Parse the strategy JSON object form, {"segments": [{"length": ..,
     "branch": 0|1}, ..]}; errors name the offending field."""
     import numpy as np
 
-    from .model import Strategy, _check_branch
+    from .model import Strategy
 
     if not isinstance(obj, dict):
         raise ValueError("strategy JSON must be an object")
@@ -128,8 +141,8 @@ def _strategy_from_json(obj: object):
                 raise ValueError(f"segments[{i}] is missing field '{key}'")
         try:
             lengths.append(_real(entry["length"], "segment length", 0.0, open_lo=True))
-            branches.append(_check_branch(entry["branch"]))
-        except (TypeError, ValueError) as exc:
+            branches.append(_integer(entry["branch"], "branch", 0, 1))
+        except ValueError as exc:
             raise ValueError(f"segments[{i}]: {exc}") from exc
     return Strategy(np.array(lengths), np.array(branches))  # read once, above
 
@@ -193,26 +206,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(
             "exactly one of --file, --json, --geometric, --family is required"
         )
-    if args.file is not None:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            _print_strategy_report(_strategy_from_json(json.load(fh)))
-        return 0
-    if args.json is not None:
-        _print_strategy_report(_strategy_from_json(json.loads(args.json)))
-        return 0
-    if args.geometric is not None:
+    if args.file is not None or args.json is not None:
+        flag = "--file" if args.file is not None else "--json"
+        strategy = _strategy_from_json(_load_json(flag, args.json, args.file))
+    elif args.geometric is not None:
         fields = {"b": None, "n": float(DEFAULT_HORIZON), "scale": 1.0, "first": 0.0}
         params = _kv_pairs(args.geometric, "--geometric", fields, "--geometric")
         b, n, scale, first = params.values()
         n = _integer(n, "--geometric field 'n'", 1, _MAX_SEGMENTS)
-        if first not in (0.0, 1.0):
-            raise ValueError(
-                f"--geometric field 'first' must be 0 or 1, got {first:g}"
-            )
+        first = _integer(first, "--geometric field 'first'", 0, 1)
         try:
             strategy = make_geometric(b, n, first, scale)
         except ValueError as exc:
             raise ValueError(f"--geometric b={b:g}, n={n}: {exc}") from None
+    if args.family is None:
         _print_strategy_report(strategy)
         return 0
     builder, names = {
@@ -441,8 +448,7 @@ def _apply_config(
     """Set the subcommand's defaults from the config file, each key read
     through the action of the flag it names (the option without `--`, or a
     positional's dest), then parse ``argv`` again so explicit flags win."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = _load_json("--config", path=args.config)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     actions = {

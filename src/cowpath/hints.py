@@ -123,7 +123,8 @@ def _position_rule(r: float, horizon: int, rows: int, lower: str = "--horizon"):
 
     def trusted_costs(record, distances, branch):
         # the member anchored at d costs 2 * (b**0 + .. + b**(j-1)) / shrink + d,
-        # NaN past the horizon; each distance is read as search_costs reads it
+        # NaN past the horizon; each argument is read as search_costs reads it
+        _integer(branch, "branch", 0, 1)  # the cost is the same on either branch
         d = _reals(distances, "distance", 1.0)
         j = np.searchsorted(anchors, d, side="left")
         inside = j < horizon
@@ -285,7 +286,7 @@ class LinePartition:
             object.__setattr__(self, name, intervals)
 
     def intervals(self, branch: int) -> tuple[LabeledInterval, ...]:
-        return self.branch0 if branch == 0 else self.branch1
+        return (self.branch0, self.branch1)[_integer(branch, "branch", 0, 1)]
 
 
 def preferred_partition(

@@ -37,12 +37,6 @@ __all__ = [
 _REL_TOL = 1e-9
 
 
-def _check_branch(branch: int) -> int:
-    if isinstance(branch, (bool, np.bool_)) or branch not in (0, 1):
-        raise ValueError(f"branch must be 0 or 1, got {branch!r}")
-    return int(branch)
-
-
 def _each(values, read: Callable, dtype) -> np.ndarray:
     """``values`` read one by one, in order, by the scalar rule ``read``."""
     cells = np.asarray(values, dtype=object)  # an ndarray's items as Python values
@@ -61,12 +55,12 @@ def _reals(values, name: str, lo: float, open_lo: bool = False) -> np.ndarray:
 
 
 def _branches(values) -> np.ndarray:
-    """The array twin of _check_branch, as int64: an integer ndarray is
-    checked by its min and max alone, any other input one by one."""
+    """The array twin of _integer(v, "branch", 0, 1), as int64: an integer
+    ndarray is checked by its min and max alone, any other input one by one."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.size:
         if values.min() >= 0 and values.max() <= 1:
             return values.astype(np.int64, copy=False)
-    return _each(values, _check_branch, np.int64)
+    return _each(values, lambda v: _integer(v, "branch", 0, 1), np.int64)
 
 
 def _check_rows(lengths: np.ndarray) -> None:
@@ -136,8 +130,8 @@ def strategy_from_lengths(
     lengths: Sequence[float], first_branch: int = 0
 ) -> Strategy:
     """Alternating-branch strategy with the given excursion lengths."""
-    branches = (_check_branch(first_branch) + np.arange(np.size(lengths))) % 2
-    return Strategy(lengths, branches)
+    first = _integer(first_branch, "branch", 0, 1)
+    return Strategy(lengths, (first + np.arange(np.size(lengths))) % 2)
 
 
 def _alternating_rows(lengths: np.ndarray, first_branches) -> Callable[[int], Strategy]:
@@ -195,7 +189,7 @@ class Target:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "distance", _real(self.distance, "distance", 1.0))
-        object.__setattr__(self, "branch", _check_branch(self.branch))
+        object.__setattr__(self, "branch", _integer(self.branch, "branch", 0, 1))
 
 
 @dataclass(frozen=True)
@@ -210,7 +204,7 @@ class DirectionHint:
     branch: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branch", _check_branch(self.branch))
+        object.__setattr__(self, "branch", _integer(self.branch, "branch", 0, 1))
 
 
 @dataclass(frozen=True)
@@ -361,7 +355,7 @@ def search_costs(
     first that reaches d, even where the branch's lengths dip.  Memory is
     O(m * (longest strategy + n)).
     """
-    branch = _check_branch(branch)
+    branch = _integer(branch, "branch", 0, 1)
     d = _reals(distances, "distance", 1.0)
     members = Members.stack(strategies)
     rows = d.reshape(1, -1) if len(members) == 1 else d
@@ -393,7 +387,7 @@ def cheapest_search_costs(
     of least prefix sum, ties going to the smallest index.  Memory is
     O(segments + len(distances)).
     """
-    branch = _check_branch(branch)
+    branch = _integer(branch, "branch", 0, 1)
     d = _reals(distances, "distance", 1.0)
     members = Members.stack(strategies)
     on = members.branches == branch

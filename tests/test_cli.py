@@ -26,6 +26,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# What json says of the document "{", of one that is no UTF-8, and of one
+# nested deeper than the recursion limit.
+_MALFORMED = (
+    "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+)
+_NOT_UTF_8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+_DEEP = "maximum recursion depth exceeded while decoding a JSON array"
+
+
 def _strategy_json(strategy):
     """The strategy JSON object {"segments": [{"length": .., "branch": ..}, ..]}."""
     pairs = zip(strategy.lengths.tolist(), strategy.branches.tolist())
@@ -249,8 +258,8 @@ class TestEval:
             capsys, "eval", "--geometric", "b=2", f"first={first}", "n=4"
         )
         assert code == 2 and out == ""
-        assert "--geometric field 'first' must be 0 or 1" in err
-        assert "Traceback" not in err
+        rule = {"0.7": "an integer", "2": "<= 1", "-1": ">= 0"}[first]
+        assert err == f"error: --geometric field 'first' must be {rule}, got {first}\n"
 
     def test_position_hint_past_horizon(self, capsys):
         code, out, err = run(
@@ -403,6 +412,43 @@ class TestEval:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--file", str(tmp_path / "nope.json"))
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("{", _MALFORMED),
+            # argv bytes that are no UTF-8 reach Python as lone surrogates
+            (os.fsdecode(b"\xff"), "Expecting value: line 1 column 1 (char 0)"),
+            ("[" * 10**5, _DEEP),
+            ("1" * 5000, "Exceeds the limit (4300 digits) for integer string"),
+        ],
+        ids=["malformed", "not-utf-8", "deep", "long-number"],
+    )
+    def test_inline_json_that_does_not_decode_names_its_flag(
+        self, capsys, text, reason
+    ):
+        code, out, err = run(capsys, "eval", "--json", text)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --json: not JSON: {reason}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "document, reason",
+        [(b"{", _MALFORMED), (b"\xff", _NOT_UTF_8), (b"[" * 10**5, _DEEP)],
+        ids=["malformed", "not-utf-8", "deep"],
+    )
+    @pytest.mark.parametrize(
+        "command", [("eval", "--file"), ("verify", "--config")], ids=["file", "config"]
+    )
+    def test_json_file_that_does_not_decode_names_flag_and_path(
+        self, capsys, tmp_path, command, document, reason
+    ):
+        path = tmp_path / "bad.json"
+        path.write_bytes(document)
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {command[1]} {path}: not JSON: {reason}")
+        assert err.count("\n") == 1
 
     def test_unconverged_family_warns_on_stderr(self, capsys):
         code, out, err = run(

@@ -1,8 +1,9 @@
-"""The integer rule: every count, horizon, k, index and seed the library or
-the CLI takes is read by one check.  An int, a numpy integer or an integral
-float reads as its integer; a bool, a string, None, a fraction, nan or inf
-is refused with a message naming the parameter, and a value out of range is
-quoted as given."""
+"""The integer rule: every count, horizon, k, index, branch and seed the
+library or the CLI takes is read by one check.  An int, a numpy integer or
+an integral float reads as its integer; a bool, a string, None, a fraction,
+nan or inf is refused with a message naming the parameter, and a value out
+of range is quoted as given.  The branch readers' table is
+tests/test_model.py::TestSegment::test_branch_argument_refuses_a_bool."""
 
 import contextlib
 import io
@@ -118,6 +119,11 @@ def _cli(*argv):
 # name a field that is not a number gets, and the command that takes a value
 # as that field's text.
 FIELDS = {
+    "geometric-first": (
+        "--geometric field 'first'",
+        "--geometric field 'first'",
+        lambda text: ["eval", "--geometric", "b=2", f"first={text}"],
+    ),
     "geometric-n": (
         "--geometric field 'n'",
         "--geometric field 'n'",

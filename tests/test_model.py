@@ -10,6 +10,7 @@ import pytest
 from cowpath import model
 from cowpath.bounds import _rho, _robust_base_interval, base_for_robustness
 from cowpath.cli import _strategy_from_json
+from cowpath.hints import LinePartition, position_family
 from cowpath.model import (
     BitStringHint,
     DirectionHint,
@@ -23,6 +24,15 @@ from cowpath.model import (
     search_costs,
     strategy_from_lengths,
 )
+
+
+def _bad_branch(value) -> str:
+    """The integer rule's message for ``value`` read as a branch: an integer
+    out of [0, 1] is quoted with the bound it breaks, anything else is no
+    integer."""
+    out_of_range = {2: "<= 1, got 2", -1: ">= 0, got -1", 1e300: "<= 1, got 1e+300"}
+    rule = out_of_range.get(value, f"an integer, got {value!r}")
+    return f"^branch must be {re.escape(rule)}$"
 
 
 class TestSegment:
@@ -47,13 +57,13 @@ class TestSegment:
 
     @pytest.mark.parametrize("branch", [2, -1, True, False, 0.5])
     def test_bad_branch(self, branch):
-        text = rf"^branch must be 0 or 1, got {re.escape(repr(branch))}$"
+        text = _bad_branch(branch)
         with pytest.raises(ValueError, match=text):
             Strategy([1.0], [branch])
         # numpy reads a list mixing ints and bools as ints
         with pytest.raises(ValueError, match=text):
             Strategy([1.0, 2.0], [0, branch])
-        with pytest.raises(ValueError, match=r"segments\[0\]: branch must be"):
+        with pytest.raises(ValueError, match=r"^segments\[0\]: " + text[1:]):
             _strategy_from_json({"segments": [{"length": 1.0, "branch": branch}]})
 
     @pytest.mark.parametrize(
@@ -63,11 +73,14 @@ class TestSegment:
     )
     def test_branches_refuse_a_bool_in_a_list_or_array(self, branches, got):
         # numpy would read either as the ints 0 and 1
-        text = rf"^branch must be 0 or 1, got {re.escape(repr(got))}$"
-        with pytest.raises(ValueError, match=text):
+        with pytest.raises(ValueError, match=_bad_branch(got)):
             Strategy([1.0, 2.0], branches)
 
-    @pytest.mark.parametrize("branch", [True, np.True_, np.False_, 2], ids=repr)
+    @pytest.mark.parametrize(
+        "branch",
+        [True, np.True_, np.False_, 2, -1, "1", 0.5, math.nan, None, math.inf, 1e300],
+        ids=repr,
+    )
     @pytest.mark.parametrize(
         "build",
         [
@@ -78,14 +91,17 @@ class TestSegment:
             lambda b: make_geometric(2.0, 4, b),
             lambda b: search_costs(make_geometric(2.0, 4), [2.0], b),
             lambda b: cheapest_search_costs([make_geometric(2.0, 4)], [2.0], b),
+            lambda b: LinePartition((), ()).intervals(b),
+            # the position rule reads no record: a member's cost is its formula
+            lambda b: position_family(9.0, 8, 1).trusted_costs(None, [2.0], b),
         ],
         ids=["Target", "PositionHint", "DirectionHint", "strategy_from_lengths",
-             "make_geometric", "search_costs", "cheapest_search_costs"],
+             "make_geometric", "search_costs", "cheapest_search_costs",
+             "LinePartition.intervals", "position_trusted_costs"],
     )
     def test_branch_argument_refuses_a_bool(self, build, branch):
         # numpy's bool is no subclass of bool, and np.True_ == 1
-        text = rf"^branch must be 0 or 1, got {re.escape(repr(branch))}$"
-        with pytest.raises(ValueError, match=text):
+        with pytest.raises(ValueError, match=_bad_branch(branch)):
             build(branch)
 
 
@@ -141,9 +157,9 @@ class TestStrategy:
         assert s.lengths[0] == 1.0
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="branch must be 0 or 1, got 2"):
+        with pytest.raises(ValueError, match="branch must be <= 1, got 2"):
             Strategy([1.0, 2.0], [0, 2])
-        with pytest.raises(ValueError, match="branch must be 0 or 1, got True"):
+        with pytest.raises(ValueError, match="branch must be an integer, got True"):
             Strategy([1.0, 2.0], [True, False])
         with pytest.raises(ValueError, match="got inf"):
             Strategy([1.0, math.inf], [0, 1])

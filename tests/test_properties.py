@@ -18,12 +18,17 @@ from hypothesis.extra import numpy as hnp
 from cowpath import bounds
 from cowpath.bounds import (
     HorizonTooShort,
+    _integer,
     _real,
     _robust_base_interval,
     base_for_robustness,
     check_prefix_sum_bound,
     check_segment_growth_lemma,
+    direction_frontier,
     kbit_base,
+    kbit_consistency_upper,
+    onebit_lower,
+    position_consistency_bound,
 )
 from cowpath.hints import (
     HintedStrategy,
@@ -41,7 +46,6 @@ from cowpath.model import (
     Strategy,
     Target,
     _branches,
-    _check_branch,
     _distinct,
     _reals,
     cheapest_search_costs,
@@ -148,6 +152,89 @@ def test_robust_interval_brackets_budget(r, t):
         assert b * b / (b - 1.0) == pytest.approx((r - 1.0) / 2.0, rel=1e-9)
     b = lo + t * (hi - lo)
     assert competitive_ratio(make_geometric(b, 40)) <= r + 1e-9
+
+
+def _exact_closed_forms(r):
+    """Every closed form frontier prints at budget r, from the float r in
+    60-digit decimal arithmetic: name -> value, and the feasible direction
+    candidates (c, b, delta) in the unreduced form of _direction_point."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        r = D(r)
+        p = (r - 1) / 2
+        b = (p + (p * p - 4 * p).sqrt()) / 2
+        exact = {
+            "base_for_robustness": b,
+            "position_consistency_bound": (b + 1) / (b - 1),
+            "onebit_lower": D(5) if r == 9 else 1 + 2 * b / (b - 1),
+        }
+        for k in (1, 2, 4, 8):
+            a = b if p <= D((1 + 2**k) ** 2) / 2**k else D(1 + 2**k)
+            power = a ** (1 + D(1) / 2**k)
+            exact[f"kbit_consistency_upper-{k}"] = 1 + 2 * power / (a - 1)
+        candidates = []
+        u = p / (p.sqrt() - 1)  # the interior, stationary in u = b**2
+        denom = (p - 1) * u - p
+        b = u.sqrt()
+        if 1 / b <= b**3 / denom <= 1:
+            candidates.append((1 + 2 * u * (u + p) / denom, b, b**3 / denom))
+        if (r - 7) ** 2 >= 32:  # the edge delta = 1/b
+            u = (r - 3) / 4 + ((r - 7) ** 2 - 32).sqrt() / 4
+            candidates.append((5 + 4 / (u - 1), u.sqrt(), 1 / u.sqrt()))
+    return exact, candidates
+
+
+def _ulps(got, exact):
+    """|got - exact| in units of the last place of exact, as a float."""
+    return float(abs(decimal.Decimal(got) - exact)) / math.ulp(float(exact))
+
+
+# Where a closed form changes branch or a square root vanishes: r = 9,
+# (r - 7)**2 = 32, r = 2 rho + 1 at each k-bit threshold (1 + 2**k)**2 / 2**k,
+# and the direction switch from interior to edge at rho = golden ratio**4.
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+_SEAMS = [9.0, 7.0 + math.sqrt(32.0), 2.0 * _GOLDEN**4 + 1.0]
+_SEAMS += [2.0 * (1 + 2**k) ** 2 / 2**k + 1.0 for k in (1, 2, 4, 8)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    r=st.one_of(
+        st.floats(math.log(9.0), math.log(1.7e308)).map(math.exp),
+        st.floats(min_value=9.0, max_value=14.71),
+        st.builds(
+            lambda seam, steps: seam + steps * math.ulp(seam),
+            st.sampled_from(_SEAMS), st.integers(-64, 64),
+        ),
+        st.builds(
+            lambda seam, rel: seam * (1.0 + rel),
+            st.sampled_from(_SEAMS), st.floats(-1e-6, 1e-6),
+        ),
+    ).map(lambda r: max(r, 9.0)),
+)
+@example(r=9.217637517072783)  # delta* was 5.2 ulps off as b**3 / ((p - 1)u - p)
+@example(r=1.7e308)
+def test_printed_closed_forms_are_within_4_ulps(r):
+    """Every number frontier prints, and the base they rest on, is within
+    4 ulps of its value in 60-digit arithmetic.  A direction row is one
+    feasible candidate, and its c the least of theirs."""
+    exact, candidates = _exact_closed_forms(r)
+    got = {
+        "base_for_robustness": base_for_robustness(r),
+        "position_consistency_bound": position_consistency_bound(r),
+        "onebit_lower": onebit_lower(r).value,
+    }
+    for k in (1, 2, 4, 8):
+        got[f"kbit_consistency_upper-{k}"] = kbit_consistency_upper(r, k)
+    ulps = {name: _ulps(value, exact[name]) for name, value in got.items()}
+    assert max(ulps.values()) <= 4, ulps
+    point = direction_frontier([r]).points[0]
+    assert _ulps(point.c_upper, min(c for c, _, _ in candidates)) <= 4
+    assert any(
+        _ulps(point.b_star, b) <= 4 and _ulps(point.delta_star, delta) <= 4
+        for _, b, delta in candidates
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -451,7 +538,7 @@ def test_array_rules_match_the_scalar_rules(values, rule):
             lambda v: _reals(v, "length", 0.0, open_lo=True),
             lambda x: _real(x, "length", 0.0, open_lo=True),
         ),
-        "branch": (_branches, _check_branch),
+        "branch": (_branches, lambda x: _integer(x, "branch", 0, 1)),
     }[rule]
     items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
     shape = np.shape(values) if isinstance(values, np.ndarray) else (len(values),)
