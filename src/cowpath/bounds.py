@@ -82,13 +82,11 @@ def _robust_base_interval(r: float) -> tuple[float, float]:
     return (p / hi, hi)
 
 
-def _integer(
-    value: object, name: str, lo: int, hi: float = math.inf, advice: str = ""
-) -> int:
+def _integer(value: object, name: str, lo: int, hi: float = math.inf) -> int:
     """The one rule that reads an integer argument: an int, a numpy integer
     or an integral float in [lo, hi], returned as an int.  A bool, a string,
     None, a fraction, nan or inf is refused.  A value out of range is quoted
-    as given; over ``hi``, ``advice`` names the flag(s) to lower."""
+    as given."""
     number = value
     if type(value) is not int:  # the fast path: each k-bit hint reads two ints
         try:
@@ -105,8 +103,7 @@ def _integer(
     got = got.removesuffix(".0")
     if number < lo:
         raise ValueError(f"{name} must be >= {lo}, got {got}")
-    lower = f" (lower {advice})" if advice else ""
-    raise ValueError(f"{name} must be <= {hi}, got {got}{lower}")
+    raise ValueError(f"{name} must be <= {hi}, got {got}")
 
 
 # The default upper bound of _real: the largest float, so that the range
@@ -167,16 +164,15 @@ def _admit(
     first: float,
     base: float,
     params: str,
-    lower: str,
     name: str = "horizon",
 ) -> int:
     """The one admission rule of a record of ``rows`` members of ``horizon``
     segments, each length at most first * base**i (base > 1), checked in
     order before any array: 1 <= horizon <= _MAX_SEGMENTS; the walk
     2 * (sum of lengths), which bounds every cost and ratio, is finite; rows x
-    horizon <= _MAX_SEGMENTS.  Errors quote ``params``, the horizon as
-    ``name`` and the flag(s) to ``lower``.  Returns the horizon as an int."""
-    horizon = _integer(horizon, name, 1, _MAX_SEGMENTS, lower)
+    horizon <= _MAX_SEGMENTS.  Errors quote ``params`` and the horizon as
+    ``name``.  Returns the horizon as an int."""
+    horizon = _integer(horizon, name, 1, _MAX_SEGMENTS)
     # ln of 2 * first * base**(horizon - 1) * (1 + 1/base + .. + 1/base**(horizon - 1))
     step = math.log(base)
     tail = math.expm1(-horizon * step) / math.expm1(-step)  # in [1, horizon]
@@ -191,7 +187,7 @@ def _admit(
         count = rows if rows < 10**15 else f"about 10**{math.log10(rows):.1f}"
         raise ValueError(
             f"{params} with {name}={horizon} needs {count} members x {horizon} "
-            f"segments, over the limit of {_MAX_SEGMENTS} segments (lower {lower})"
+            f"segments, over the limit of {_MAX_SEGMENTS} segments"
         )
     return horizon
 
@@ -407,7 +403,8 @@ def check_prefix_sum_bound(strategy: Strategy, r: float) -> InequalityReport:
     """Margins of sum_{j<i} x_j >= x_i/(1 + 1/(i+1)) * ((i+2)/(i+1) - b_r/(b_r-1))
     rearranged so that positive margin = violation; the i = 0 margin is 0 by
     convention (empty sum, trivially holding).  tail_index is the largest i
-    where the prefix sum still clears x_i/(b_r - 1) - 1e-2 slack."""
+    whose prefix sum falls short of x_i/(b_r - 1) - 0.01 * x_i, or None if
+    none does: past it, the prefix mass has caught up."""
     b = base_for_robustness(r)
     x = strategy.lengths.tolist()
     csum = [0.0, *accumulate(x[:-1])]

@@ -91,16 +91,16 @@ class HintedStrategy:
     ] = cheapest_trusted_costs
 
 
-def _position_rule(r: float, horizon: int, rows: int, lower: str = "--horizon"):
+def _position_rule(r: float, horizon: int, rows: int):
     """The position family's one anchor rule, derived once for a record of
     ``rows`` members: the member of a hint at distance d is the base-b_r
     geometric strategy shrunk by b_r**j / d, where anchor j is the first
     b_r**j >= d, so that turn point j lands exactly on d and segment j
     searches the hinted branch.  Returns the farthest anchor, members(hints)
     (one record, row i the member of hints[i]) and the family's
-    trusted_costs.  A rejection of the record says to lower ``lower``."""
+    trusted_costs."""
     base = base_for_robustness(r)
-    horizon = _admit(rows, horizon, 1.0, base, f"r={r!r}", lower)
+    horizon = _admit(rows, horizon, 1.0, base, f"r={r!r}")
     anchors = np.array([base**j for j in range(horizon)])
     farthest = anchors[-1].item()
     powers = np.power(base, np.arange(horizon, dtype=float))
@@ -165,9 +165,7 @@ def position_family(
             f"hints_per_decade must give a finite hint count, got {hints_per_decade!r}"
         )
     count = max(2, int(round(decades * hints_per_decade)) + 1)
-    # the CLI keeps the default grid: a finer one is what grew
-    lower = "hints_per_decade" if hints_per_decade > _HINTS_PER_DECADE else "--horizon"
-    farthest, members, trusted_costs = _position_rule(r, horizon, 2 * count, lower)
+    farthest, members, trusted_costs = _position_rule(r, horizon, 2 * count)
     distances = np.logspace(0.0, decades, count)
     distances[-1] = _MAX_HINT_DISTANCE  # logspace ends a few ulps past it
     hint_space = tuple(PositionHint(d, b) for b in (0, 1) for d in distances.tolist())
@@ -189,7 +187,7 @@ def direction_family(
 ) -> HintedStrategy:
     """Direction-hint family: one member per branch."""
     b, delta = _direction_params(b, delta)
-    horizon = _admit(2, horizon, 1.0, b, f"b={b!r}", "--horizon")
+    horizon = _admit(2, horizon, 1.0, b, f"b={b!r}")
     lengths = np.power(b, np.arange(horizon, dtype=float))
     lengths[1::2] *= delta
     row = _alternating_rows(np.broadcast_to(lengths, (2, horizon)), (0, 1))
@@ -213,9 +211,7 @@ def kbit_family(r: float, k: int, horizon: int = DEFAULT_HORIZON) -> HintedStrat
     k = _integer(k, "k", 1, _MAX_K)
     a = kbit_base(r, k)
     # member j's lengths a**(i + j/2**k) are at most a**(1 - 2**-k) * a**i
-    horizon = _admit(
-        2**k, horizon, a ** (1.0 - 2.0**-k), a, f"r={r!r}, k={k}", "--k or --horizon"
-    )
+    horizon = _admit(2**k, horizon, a ** (1.0 - 2.0**-k), a, f"r={r!r}, k={k}")
     lengths = np.arange(horizon, dtype=float) + np.arange(2**k)[:, None] / 2.0**k
     row = _alternating_rows(np.power(a, lengths, out=lengths), [0] * 2**k)
 

@@ -106,6 +106,10 @@ class Strategy:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Strategy is immutable; cannot set {name!r}")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the checked constructor
+        return (Strategy, (self.lengths, self.branches))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Strategy):
             return NotImplemented
@@ -169,7 +173,7 @@ def make_geometric(
     base = _real(base, "base", 1.0, open_lo=True)
     scale = _real(scale, "scale", 0.0, open_lo=True)
     params = f"base={base!r}, scale={scale!r}"
-    count = _admit(1, count, scale, base, params, "count", "count")
+    count = _admit(1, count, scale, base, params, "count")
     lengths = scale * np.power(base, np.arange(count, dtype=float))
     return strategy_from_lengths(lengths, first_branch)
 
@@ -240,12 +244,13 @@ def search_cost(strategy: Strategy, target: Target) -> Optional[float]:
     return None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Members:
     """The one padded layout every batched evaluator reads: strategies as the
     rows of three read-only arrays, right-padded to the longest, ``lengths``
     (NaN past a row's end), ``branches`` (-1 past it) and ``sums``, where
-    sums[i, j] is the sum of row i's first j lengths (one column more)."""
+    sums[i, j] is the sum of row i's first j lengths (one column more).
+    Every kernel trusts a record, so _record alone builds one."""
 
     lengths: np.ndarray
     branches: np.ndarray
@@ -276,16 +281,28 @@ class Members:
                 branches[inside] = np.concatenate([s.branches for s in rows])
         sums = np.zeros((len(rows), lengths.shape[1] + 1))
         np.cumsum(lengths, axis=1, out=sums[:, 1:])
-        for a in (lengths, branches, sums):
-            a.flags.writeable = False
-        return cls(lengths, branches, sums)
+        return _record(lengths, branches, sums)
 
     def __len__(self) -> int:
         return len(self.lengths)
 
     def row(self, i: int) -> Members:
         """Member i alone, as a one-row record of views."""
-        return Members(*(a[i : i + 1] for a in vars(self).values()))
+        return _record(*(a[i : i + 1] for a in vars(self).values()))
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle: a copied array is writeable until frozen
+        return (_record, tuple(vars(self).values()))
+
+
+def _record(*arrays: np.ndarray) -> Members:
+    """The record of lengths, branches and sums as stack, row, copy and
+    pickle give them: taken unchecked, made read-only."""
+    record = object.__new__(Members)
+    for name, a in zip(("lengths", "branches", "sums"), arrays):
+        a.flags.writeable = False
+        object.__setattr__(record, name, a)
+    return record
 
 
 def _shortest_reach(members: Members) -> float:

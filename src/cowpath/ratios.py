@@ -64,6 +64,10 @@ class TargetGrid:
         d.flags.writeable = False
         object.__setattr__(self, "distances", d)
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the checked constructor
+        return (TargetGrid, (self.distances,))
+
 
 def family_grid(members: Union[Iterable[Strategy], Members]) -> TargetGrid:
     """Joint grid for a family: distance 1 plus a probe one ulp past every
@@ -221,8 +225,8 @@ def random_alternating_strategies(
     broadcast."""
     # random.Random would also hash a float, a string or None into a seed
     seed = _integer(seed, "seed", 0)
-    count = _integer(count, "count", 0, _MAX_SEGMENTS, "--count")
-    horizon = _admit(count, horizon, 4.0, 4.0, f"count={count}", "--count")
+    count = _integer(count, "count", 0, _MAX_SEGMENTS)
+    horizon = _admit(count, horizon, 4.0, 4.0, f"count={count}")
     rng = random.Random(seed)
     low, high = math.log(0.25), math.log(4.0)
     draws = [

@@ -155,16 +155,23 @@ class TestPositionHintStrategy:
         with pytest.raises(ValueError, match=message):
             position_family(9.0, **kwargs)
 
-    def test_too_many_hints_says_lower_hints_per_decade(self, monkeypatch):
+    def test_too_many_hints_is_refused_before_any_member(self, monkeypatch):
         built = []
         monkeypatch.setattr(hints, "_alternating_rows", lambda *a: built.append(a))
-        with pytest.raises(ValueError, match="12041202 members") as info:
+        with pytest.raises(ValueError) as info:
             position_family(9.0, hints_per_decade=10**6)
-        assert str(info.value).endswith("(lower hints_per_decade)")
+        assert str(info.value) == (
+            "r=9.0 with horizon=64 needs 12041202 members x 64 segments, "
+            "over the limit of 1048576 segments"
+        )
         assert not built
-        # at the default grid, the horizon is what grew
-        with pytest.raises(ValueError, match=r"horizon=700 .*\(lower --horizon\)$"):
+        with pytest.raises(ValueError) as info:
             position_family(9.0, horizon=700)
+        assert str(info.value) == (
+            "r=9.0 with horizon=700 needs 1544 members x 700 segments, "
+            "over the limit of 1048576 segments"
+        )
+        assert not built
 
 
 class TestDirectionHintStrategy:
@@ -350,6 +357,21 @@ class TestSizeLimit:
             build()
         assert message in str(info.value)
         assert not built
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: kbit_family(9.0, 2, horizon=2**21),
+            lambda: position_family(9.0, horizon=2**21, hints_per_decade=200),
+            lambda: direction_family(2.0, 1.0, 2**21),
+        ],
+        ids=["kbit", "position", "direction"],
+    )
+    def test_horizon_over_its_bound_is_quoted_alone(self, build):
+        # no other parameter of the family can bring the horizon back in bound
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "horizon must be <= 1048576, got 2097152"
 
     def test_at_the_limit_fits(self, monkeypatch):
         monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)

@@ -1,6 +1,6 @@
 """Every name a module of the package, the tests or the demos imports is
-used in that module, every public name has a reader, and the package uses
-only numpy's core.
+used in that module, every public name has a reader, the package uses only
+numpy's core, and no library module names a CLI flag.
 
 A removed option or function tends to leave its imports behind (a typing
 name, a helper); this check, built on the stdlib ``ast`` module only, finds
@@ -107,6 +107,56 @@ def test_unread_name_is_found(tmp_path):
     (tmp_path / "README.md").write_text("call `g(x)`; fg and h_ are other words\n")
     package = [tmp_path / "a.py", tmp_path / "b.py"]
     assert _unread_names(package, [tmp_path / "README.md"]) == ["a.h"]
+
+
+_FLAG = re.compile(r"--[A-Za-z]")
+# The library: the modules below cli.py, which alone knows the CLI's flags.
+LIBRARY = ["bounds.py", "model.py", "hints.py", "ratios.py"]
+
+
+def _flag_strings(tree: ast.Module) -> list[str]:
+    """The string constants outside docstrings, f-string parts included,
+    that name a CLI flag ('--' and a letter)."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, owners)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        f"{node.value!r} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+        and _FLAG.search(node.value)
+    ]
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_library_names_no_cli_flag(name):
+    """An error of the library states the limit it checks; which flag to
+    change is the CLI's to say."""
+    path = ROOT / "src" / "cowpath" / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _flag_strings(tree) == []
+
+
+def test_flag_string_is_found():
+    tree = ast.parse(
+        '"""Run `cowpath eval --horizon 8`."""\n'
+        "def f(n, lower='--k'):\n"
+        '    """Docstrings may name --count."""\n'
+        "    x = 'a -- b, -1, --2'\n"
+        "    raise ValueError(f'n={n} (lower --horizon)')\n"
+    )
+    assert _flag_strings(tree) == [
+        "'--k' (line 2)",
+        "' (lower --horizon)' (line 5)",
+    ]
 
 
 # Each loads a numpy submodule: np.random loads numpy.random, and np.ma and

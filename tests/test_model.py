@@ -1,6 +1,8 @@
 """Core model: strategies, targets, search cost, robust bases."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
 
@@ -10,10 +12,11 @@ import pytest
 from cowpath import model
 from cowpath.bounds import _rho, _robust_base_interval, base_for_robustness
 from cowpath.cli import _strategy_from_json
-from cowpath.hints import LinePartition, position_family
+from cowpath.hints import LinePartition, kbit_family, position_family
 from cowpath.model import (
     BitStringHint,
     DirectionHint,
+    Members,
     PositionHint,
     Strategy,
     Target,
@@ -24,6 +27,7 @@ from cowpath.model import (
     search_costs,
     strategy_from_lengths,
 )
+from cowpath.ratios import TargetGrid, competitive_ratio
 
 
 def _bad_branch(value) -> str:
@@ -165,6 +169,46 @@ class TestStrategy:
             Strategy([1.0, math.inf], [0, 1])
         with pytest.raises(ValueError, match="one size"):
             Strategy([1.0, 2.0], [0])
+
+
+class TestRecordsStayFrozen:
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_and_read_only(self, duplicate):
+        family = kbit_family(9.0, 2)
+        rows = [family.select(hint) for hint in family.hint_space]
+        padded = Members.stack([make_geometric(2.0, 3), make_geometric(3.0, 5, 1)])
+        records = [
+            make_geometric(2.0, 8), rows[1], TargetGrid((1.0, 2.0, 4.0)),
+            Members.stack(rows), Members.stack(rows).row(1), padded,
+        ]
+        for record in records:
+            copied = duplicate(record)
+            assert type(copied) is type(record)
+            names = [n for n, a in vars(record).items() if isinstance(a, np.ndarray)]
+            assert names
+            for name in names:
+                a, b = getattr(record, name), getattr(copied, name)
+                assert b.dtype == a.dtype and np.array_equal(b, a, equal_nan=True)
+                assert not b.flags.writeable, (type(record).__name__, name)
+        # a copy's lengths cannot be bent past the strategy rule
+        original = make_geometric(2.0, 8)
+        strategy = duplicate(original)
+        with pytest.raises(ValueError, match="read-only"):
+            strategy.lengths[3] = -1e9
+        assert competitive_ratio(strategy) == competitive_ratio(original)
+
+    def test_a_record_is_built_only_from_strategies(self):
+        # the kernels trust a record's arrays, so none is taken unchecked
+        with pytest.raises(TypeError):
+            Members(
+                np.array([[1.0, -2.0, 4.0]]),
+                np.array([[0, 1, 7]], dtype=np.int8),
+                np.array([[0.0, 100.0, 5.0, 9.0]]),
+            )
 
 
 class TestConstructors:

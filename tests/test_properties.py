@@ -768,6 +768,49 @@ def test_cells_match_the_scalar_oracle(strategies):
         assert closed == pytest.approx(max(scalar), rel=1e-12)
 
 
+def _exact_cells(s):
+    """Per column, the end column included, the ratio of the cell it opens
+    (None where it opens none), by _cells' rule in 60-digit decimal
+    arithmetic on the strategy's float lengths."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        far, walked, cells = [D(0), D(0)], D(0), []
+        sides = [*s.branches.tolist(), 1 - int(s.branches[-1])]
+        for x, side in zip([*map(D, s.lengths.tolist()), D("Infinity")], sides):
+            opens = x >= 1 and x > far[side]
+            cells.append(1 + 2 * walked / max(far[side], D(1)) if opens else None)
+            far[side] = max(far[side], x)
+            walked += x
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.floats(math.log(1.5), math.log(64.0)).map(math.exp),
+    n=st.integers(2, 64),
+    scale=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+    first=st.integers(0, 1),
+)
+@example(b=1.5, n=64, scale=1.0, first=0)
+def test_geometric_cells_are_within_4_ulps(b, n, scale, first):
+    """Every cell of a geometric row is within 4 ulps of its exact value.
+
+    b in [1.5, 64] covers every base the package builds: b_r is at least 2,
+    the k-bit base is at least b_r and the random strategies' bases lie in
+    (1.5, 4].  Nearer b = 1 the float prefix sums drift further than that.
+    """
+    s = make_geometric(b, n, first, scale)
+    cells = _cells(Members.stack(s))[0][0]
+    exact = _exact_cells(s)
+    assert len(cells) == len(exact) == n + 1
+    for got, want in zip(cells.tolist(), exact):
+        if want is None:
+            assert math.isnan(got)
+        else:
+            assert _ulps(got, want) <= 4, (got, want)
+
+
 def _numpy_growth_margins(x, b):
     prev = np.concatenate(([1.0], x[:-1]))
     i = np.arange(len(x), dtype=float)
