@@ -294,13 +294,15 @@ def position_consistency_bound(r: float) -> float:
 def direction_tradeoff(b: float, delta: float) -> TradeoffPoint:
     """Closed-form (consistency, robustness) of the direction family.
 
-    c = 1 + 2(b**2 + delta*b**3)/(b**2 - 1),
-    r = 1 + 2(b**2 + b**3/delta)/(b**2 - 1).
+    c = 1 + 2(b**2 + delta*b**3)/(b**2 - 1) = 1 + 2(1 + delta*b)u,
+    r = 1 + 2(b**2 + b**3/delta)/(b**2 - 1) = 1 + 2(1 + b/delta)u,
+    with u = b**2/(b**2 - 1) taken as (b/(b - 1))(b/(b + 1)), so that no
+    b**3 overflows and no b**2 - 1 cancels near b = 1.
     """
     b, delta = _direction_params(b, delta)
-    denom = b * b - 1.0
-    c = 1.0 + 2.0 * (b * b + delta * b**3) / denom
-    r = 1.0 + 2.0 * (b * b + b**3 / delta) / denom
+    u = (b / (b - 1.0)) * (b / (b + 1.0))
+    c = 1.0 + 2.0 * (1.0 + delta * b) * u
+    r = 1.0 + 2.0 * (1.0 + b / delta) * u
     return TradeoffPoint(c, r, "closed_form", True)
 
 

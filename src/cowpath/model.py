@@ -63,10 +63,12 @@ def _branches(values) -> np.ndarray:
     return _each(values, lambda v: _integer(v, "branch", 0, 1), np.int64)
 
 
-def _check_rows(lengths: np.ndarray) -> None:
-    """The rest of the strategy rule on rows of lengths _reals has read, each
-    check run once over all rows: lengths two apart not shrinking, and the
-    walk 2 * (sum of lengths) finite, as _admit bounds it for built records."""
+def _rows(lengths: np.ndarray, branches: np.ndarray) -> Members:
+    """The one checked record: rows of lengths _reals has read, all of one
+    size, and their branches (0 or 1).  Each check of the strategy rule runs
+    once over all rows: lengths two apart not shrinking, and the walk
+    2 * (sum of lengths) finite, as _admit bounds it for built records.  A
+    view is copied, since a record owns its arrays."""
     shrunk = lengths[:, 2:] < lengths[:, :-2] * (1.0 - _REL_TOL)
     if shrunk.any():
         row, i = np.unravel_index(np.argmax(shrunk), shrunk.shape)
@@ -74,16 +76,21 @@ def _check_rows(lengths: np.ndarray) -> None:
             f"lengths[{i + 2}]={float(lengths[row, i + 2])} < lengths[{i}]="
             f"{float(lengths[row, i])}: every other segment must not shrink"
         )
-    with np.errstate(over="ignore"):  # the running sums every kernel builds
-        walk = 2.0 * np.cumsum(lengths, axis=1)[:, -1:]
-    if not np.isfinite(walk).all():
-        raise ValueError("the walk 2 * (sum of lengths) overflows the float range")
+    sums = np.zeros((len(lengths), lengths.shape[1] + 1))
+    with np.errstate(over="ignore"):  # the sums every kernel reads
+        np.cumsum(lengths, axis=1, out=sums[:, 1:])
+        if not np.isfinite(2.0 * sums[:, -1]).all():
+            raise ValueError("the walk 2 * (sum of lengths) overflows the float range")
+    lengths = lengths if lengths.base is None else lengths.copy()
+    branches = branches.astype(np.int8, copy=branches.base is not None)
+    return _record(lengths, branches, sums)
 
 
 class Strategy:
-    """A finite prefix of search iterations, held as two read-only arrays:
-    ``lengths`` (float64, finite and > 0) and ``branches`` (int64, 0 or 1),
-    copies of the constructor's arguments as _reals and _branches read them.
+    """A finite prefix of search iterations: row i of the checked record it
+    is built with, held as two read-only views of that row, ``lengths``
+    (float64, finite and > 0) and ``branches`` (int8, 0 or 1), read from the
+    constructor's arguments by _reals and _branches.
 
     Lengths two steps apart may never shrink (lengths[i+2] >= lengths[i]);
     for alternating strategies this keeps each branch's turn points monotone.
@@ -91,17 +98,13 @@ class Strategy:
     """
 
     def __init__(self, lengths: Sequence[float], branches: Sequence[int]) -> None:
-        lengths = _reals(lengths, "segment length", 0.0, open_lo=True).copy()
-        branches = _branches(branches).copy()
+        lengths = _reals(lengths, "segment length", 0.0, open_lo=True)
+        branches = _branches(branches)
         if lengths.ndim != 1 or lengths.shape != branches.shape:
             raise ValueError("lengths and branches must be 1-D and of one size")
         if lengths.size == 0:
             raise ValueError("strategy needs at least one segment")
-        _check_rows(lengths[None])
-        lengths.flags.writeable = False
-        branches.flags.writeable = False
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "branches", branches)
+        _bind(self, _rows(lengths[None], branches[None]), 0)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Strategy is immutable; cannot set {name!r}")
@@ -130,6 +133,15 @@ class Strategy:
         return self.lengths.size
 
 
+def _bind(strategy: Strategy, record: Members, i: int) -> Strategy:
+    """Make ``strategy`` row i of a record _rows built: its arrays become
+    views of that row, and (record, i) is kept for Members.stack."""
+    row = (record.lengths[i], record.branches[i], record, i)
+    for name, value in zip(("lengths", "branches", "_record", "_index"), row):
+        object.__setattr__(strategy, name, value)  # inline: no __dict__ is built
+    return strategy
+
+
 def strategy_from_lengths(
     lengths: Sequence[float], first_branch: int = 0
 ) -> Strategy:
@@ -139,28 +151,13 @@ def strategy_from_lengths(
 
 
 def _alternating_rows(lengths: np.ndarray, first_branches) -> Callable[[int], Strategy]:
-    """Alternating-branch strategies, one per row of ``lengths`` (taken over,
-    not copied, unless it is a view), row i starting on first_branches[i],
-    checked in one pass.  Returns row(i): strategy i, its arrays read-only
-    views of the record, tagged with i so that Members.stack can adopt the
-    record."""
+    """Alternating-branch strategies, one per row of ``lengths``, row i
+    starting on first_branches[i]: the rows of one record _rows checks.
+    Returns row(i), strategy i."""
     lengths = _reals(lengths, "segment length", 0.0, open_lo=True)
-    if lengths.base is not None:  # the rows' base must be the record itself
-        lengths = lengths.copy()
-    _check_rows(lengths)
-    patterns = np.arange(2)[:, None] + np.arange(lengths.shape[1])
-    patterns %= 2  # pattern b starts on branch b
-    lengths.flags.writeable = False
-    patterns.flags.writeable = False
-
-    def row(i: int) -> Strategy:
-        strategy = object.__new__(Strategy)  # checked above: no copy, no check
-        object.__setattr__(strategy, "lengths", lengths[i])
-        object.__setattr__(strategy, "branches", patterns[first_branches[i]])
-        object.__setattr__(strategy, "_row", i)
-        return strategy
-
-    return row
+    pattern = (np.arange(lengths.shape[1]) % 2).astype(np.int8)  # starts on 0
+    record = _rows(lengths, np.asarray(first_branches, np.int8)[:, None] ^ pattern)
+    return lambda i: _bind(object.__new__(Strategy), record, i)
 
 
 def make_geometric(
@@ -181,7 +178,9 @@ def make_geometric(
 def scale_strategy(strategy: Strategy, factor: float) -> Strategy:
     """Multiply every segment length by ``factor`` (branches unchanged)."""
     factor = _real(factor, "factor", 0.0, open_lo=True)
-    return Strategy(strategy.lengths * factor, strategy.branches)
+    with np.errstate(over="ignore"):  # an inf length is refused by its rule
+        lengths = strategy.lengths * factor
+    return Strategy(lengths, strategy.branches)
 
 
 @dataclass(frozen=True)
@@ -246,11 +245,11 @@ def search_cost(strategy: Strategy, target: Target) -> Optional[float]:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Members:
-    """The one padded layout every batched evaluator reads: strategies as the
-    rows of three read-only arrays, right-padded to the longest, ``lengths``
-    (NaN past a row's end), ``branches`` (-1 past it) and ``sums``, where
-    sums[i, j] is the sum of row i's first j lengths (one column more).
-    Every kernel trusts a record, so _record alone builds one."""
+    """The one strategy layout: a Strategy is a row of one, and every batched
+    evaluator reads one.  Three read-only arrays, rows right-padded to the
+    longest: ``lengths`` (NaN past a row's end), ``branches`` (int8, -1 past
+    it) and ``sums``, where sums[i, j] is the sum of row i's first j lengths
+    (one column more).  Every kernel trusts a record: _record alone builds one."""
 
     lengths: np.ndarray
     branches: np.ndarray
@@ -259,26 +258,22 @@ class Members:
     @classmethod
     def stack(cls, strategies: Union[Strategy, Iterable[Strategy], Members]) -> Members:
         """The record of one strategy or several, in order; a record passes
-        through.  All the rows of one _alternating_rows record, in order,
-        are of one length: that record is adopted as ``lengths``, not copied."""
+        through.  All the rows of one record, in order (a single strategy
+        counts), give that record itself; any other list is padded."""
         if isinstance(strategies, Members):
             return strategies
         rows = [strategies] if isinstance(strategies, Strategy) else list(strategies)
-        record = rows[0].lengths.base if rows else None
-        if record is not None and len(record) == len(rows) and all(
-            s.lengths.base is record and getattr(s, "_row", None) == i
-            for i, s in enumerate(rows)
+        if rows and len(rows[0]._record) == len(rows) and all(
+            s._record is rows[0]._record and s._index == i for i, s in enumerate(rows)
         ):
-            lengths = record
-            branches = np.array([s.branches for s in rows], dtype=np.int8)
-        else:
-            sizes = np.array([len(s) for s in rows], dtype=np.int64)
-            inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
-            lengths = np.full(inside.shape, np.nan)
-            branches = np.full(inside.shape, -1, dtype=np.int8)
-            if rows:
-                lengths[inside] = np.concatenate([s.lengths for s in rows])
-                branches[inside] = np.concatenate([s.branches for s in rows])
+            return rows[0]._record
+        sizes = np.array([len(s) for s in rows], dtype=np.int64)
+        inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        lengths = np.full(inside.shape, np.nan)
+        branches = np.full(inside.shape, -1, dtype=np.int8)
+        if rows:
+            lengths[inside] = np.concatenate([s.lengths for s in rows])
+            branches[inside] = np.concatenate([s.branches for s in rows])
         sums = np.zeros((len(rows), lengths.shape[1] + 1))
         np.cumsum(lengths, axis=1, out=sums[:, 1:])
         return _record(lengths, branches, sums)
@@ -296,8 +291,8 @@ class Members:
 
 
 def _record(*arrays: np.ndarray) -> Members:
-    """The record of lengths, branches and sums as stack, row, copy and
-    pickle give them: taken unchecked, made read-only."""
+    """The record of lengths, branches and sums as _rows, stack, row, copy
+    and pickle give them: taken unchecked, made read-only."""
     record = object.__new__(Members)
     for name, a in zip(("lengths", "branches", "sums"), arrays):
         a.flags.writeable = False

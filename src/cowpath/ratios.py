@@ -244,9 +244,6 @@ def oracle_equivalence_gaps(count: int = 200, seed: int = 0) -> np.ndarray:
     """|closed form - measured| per random strategy of DEFAULT_HORIZON
     segments; the two evaluators must agree because worst-case targets sit
     just past turn points."""
-    strategies = random_alternating_strategies(count, seed)
-    if not strategies:
-        return np.empty(0)
-    members = Members.stack(strategies)
+    members = Members.stack(random_alternating_strategies(count, seed))
     closed = np.fmax.reduce(_cells(members)[0], axis=1)
     return np.abs(closed - _measured_ratios(members))

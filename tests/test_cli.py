@@ -433,6 +433,17 @@ class TestEval:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "text, message",
+        [("[1]", "strategy JSON must be an object"),
+         ('{"segments": [1]}', "segments[0] must be an object")],
+        ids=["document", "segment"],
+    )
+    def test_json_that_holds_no_object_names_what_must_be_one(
+        self, capsys, text, message
+    ):
+        assert run(capsys, "eval", "--json", text) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "document, reason",
         [(b"{", _MALFORMED), (b"\xff", _NOT_UTF_8), (b"[" * 10**5, _DEEP)],
         ids=["malformed", "not-utf-8", "deep"],

@@ -12,7 +12,7 @@ import pytest
 from cowpath import model
 from cowpath.bounds import _rho, _robust_base_interval, base_for_robustness
 from cowpath.cli import _strategy_from_json
-from cowpath.hints import LinePartition, kbit_family, position_family
+from cowpath.hints import LinePartition, direction_family, kbit_family, position_family
 from cowpath.model import (
     BitStringHint,
     DirectionHint,
@@ -27,7 +27,7 @@ from cowpath.model import (
     search_costs,
     strategy_from_lengths,
 )
-from cowpath.ratios import TargetGrid, competitive_ratio
+from cowpath.ratios import TargetGrid, competitive_ratio, random_alternating_strategies
 
 
 def _bad_branch(value) -> str:
@@ -46,7 +46,7 @@ class TestSegment:
     def test_fields_coerced(self):
         s = Strategy([2], [1])
         assert s.lengths.dtype == np.float64 and s.lengths[0] == 2.0
-        assert s.branches.dtype == np.int64 and s.branches[0] == 1
+        assert s.branches.dtype == np.int8 and s.branches[0] == 1
         s = _strategy_from_json({"segments": [{"length": 2, "branch": 1.0}]})
         assert s == Strategy([2.0], [1])
 
@@ -146,7 +146,7 @@ class TestStrategy:
 
     def test_arrays_read_only(self):
         s = make_geometric(2.0, 4)
-        assert s.lengths.dtype == np.float64 and s.branches.dtype == np.int64
+        assert s.lengths.dtype == np.float64 and s.branches.dtype == np.int8
         with pytest.raises(ValueError):
             s.lengths[0] = 5.0
         with pytest.raises(ValueError):
@@ -169,6 +169,28 @@ class TestStrategy:
             Strategy([1.0, math.inf], [0, 1])
         with pytest.raises(ValueError, match="one size"):
             Strategy([1.0, 2.0], [0])
+
+
+def _direction_row():
+    return direction_family(2.0, 0.5).select(DirectionHint(1))
+
+
+# Every way a strategy is built; the family rows and the random draw are rows
+# of a record of several members.
+_BUILDS = {
+    "Strategy": lambda: Strategy(np.array([1.0, 2.0, 4.0]), np.array([0, 1, 0])),
+    "strategy_from_lengths": lambda: strategy_from_lengths([1.0, 2.0, 4.0], 1),
+    "make_geometric": lambda: make_geometric(2.0, 8),
+    "scale_strategy": lambda: scale_strategy(make_geometric(2.0, 8), 0.5),
+    "position": lambda: position_family(9.0, 8, 1).select(PositionHint(1.0, 1)),
+    "direction": _direction_row,
+    "kbit": lambda: kbit_family(9.0, 2).select(BitStringHint(3, 2)),
+    "random": lambda: random_alternating_strategies(3, 0, 8)[1],
+    "copy": lambda: copy.copy(_direction_row()),
+    "deepcopy": lambda: copy.deepcopy(_direction_row()),
+    "pickle": lambda: pickle.loads(pickle.dumps(_direction_row())),
+}
+_ROWS = ("position", "direction", "kbit", "random")
 
 
 class TestRecordsStayFrozen:
@@ -200,6 +222,30 @@ class TestRecordsStayFrozen:
         with pytest.raises(ValueError, match="read-only"):
             strategy.lengths[3] = -1e9
         assert competitive_ratio(strategy) == competitive_ratio(original)
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS.keys())
+    def test_no_writeable_array_behind_a_strategy(self, build):
+        # a view of a writeable array could be bent past the strategy rule
+        s = build()
+        for a in (s.lengths, s.branches):
+            for behind in (a, a.base):
+                if behind is None:
+                    continue
+                assert not behind.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    behind[(0,) * behind.ndim] = 1
+
+    def test_stacking_a_whole_record_returns_that_record(self):
+        family = kbit_family(9.0, 2)
+        rows = [family.select(hint) for hint in family.hint_space]
+        whole = (rows, random_alternating_strategies(3, 0, 8), *(
+            build() for name, build in _BUILDS.items() if name not in _ROWS
+        ))
+        for strategies in whole:
+            assert Members.stack(strategies) is Members.stack(strategies)
+        # any other list is padded into a new record
+        for strategies in (rows[1], rows[::-1], rows[:2], rows + rows):
+            assert Members.stack(strategies) is not Members.stack(strategies)
 
     def test_a_record_is_built_only_from_strategies(self):
         # the kernels trust a record's arrays, so none is taken unchecked
@@ -244,6 +290,14 @@ class TestConstructors:
         assert np.allclose(s.lengths, [0.25, 0.5, 1.0])
         with pytest.raises(ValueError):
             scale_strategy(s, 0.0)
+
+    def test_scale_strategy_overflow_is_refused_by_the_length_rule(self):
+        # the overflowing product is the length rule's to refuse, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                scale_strategy(make_geometric(2.0, 64), 1e308)
+        assert str(info.value) == "segment length must be finite, got inf"
 
 
 class TestTargetAndHints:
@@ -337,6 +391,15 @@ class TestSearchCost:
     def test_unsearched_branch_all_nan(self):
         s = Strategy([4.0], [0])
         assert np.all(np.isnan(search_costs(s, np.array([1.0, 2.0]), 1)))
+
+    def test_distances_need_one_row_per_strategy(self):
+        strategies = [make_geometric(2.0, 4), make_geometric(3.0, 5)]
+        with pytest.raises(ValueError) as info:
+            search_costs(strategies, np.ones((1, 1)), 0)
+        assert str(info.value) == (
+            "distances must have one row per strategy, got shape (1, 1) "
+            "for 2 strategies"
+        )
 
 
 class TestCheapestSearchCosts:

@@ -237,6 +237,40 @@ def test_printed_closed_forms_are_within_4_ulps(r):
     )
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.one_of(
+        st.floats(min_value=1.0 + 1e-6, max_value=1.01),  # b**2 - 1 cancels
+        _log_uniform(1.5, 64.0),
+        _log_uniform(1.01, 1e100),
+    ),
+    delta=_log_uniform(1e-6, 1.0),
+)
+@example(b=6e102, delta=1.0)  # b**3 overflows
+@example(b=1.000001, delta=1e-6)
+def test_direction_tradeoff_is_within_4_ulps(b, delta):
+    """c = 1 + 2(b**2 + delta*b**3)/(b**2 - 1) and r = 1 + 2(b**2 +
+    b**3/delta)/(b**2 - 1), each within 4 ulps of 60-digit arithmetic."""
+    point = bounds.direction_tradeoff(b, delta)
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        b, delta = D(b), D(delta)
+        c = 1 + 2 * (b * b + delta * b**3) / (b * b - 1)
+        r = 1 + 2 * (b * b + b**3 / delta) / (b * b - 1)
+    assert _ulps(point.consistency, c) <= 4
+    assert _ulps(point.robustness, r) <= 4
+
+
+def test_direction_tradeoff_floor_is_exact():
+    point = bounds.direction_tradeoff(2.0, 1.0)
+    assert (point.consistency, point.robustness) == (9.0, 9.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     r=st.floats(min_value=9.0, max_value=1000.0, **finite),
@@ -286,7 +320,7 @@ def test_member_records_match_the_per_member_rules(
     def check(member, lengths, first):
         assert np.array_equal(member.lengths, lengths)
         assert np.array_equal(member.branches, (first + np.arange(horizon)) % 2)
-        assert member.branches.dtype == np.int64
+        assert member.branches.dtype == np.int8
 
     family = kbit_family(r, k, horizon)
     a = kbit_base(r, k)
@@ -603,6 +637,47 @@ def test_partition_labels_match_best_hint(r, k, probes):
 # The batched kernels stack members of different lengths; each member below
 # may have dipping lengths and non-alternating branches.
 member_lists = st.lists(two_apart_strategies(), min_size=1, max_size=6)
+
+
+@st.composite
+def scored_together(draw):
+    """Strategies the evaluators score as one record: a family's rows, a
+    random draw, or a padded list that mixes alternating rows with rows of
+    random branches."""
+    kind = draw(st.sampled_from(["family", "random", "mixed"]))
+    if kind == "family":
+        family = draw(hinted_families())
+        return [family.select(hint) for hint in family.hint_space]
+    if kind == "random":
+        return random_alternating_strategies(
+            draw(st.integers(1, 6)), draw(st.integers(0, 99)), draw(st.integers(1, 64))
+        )
+    geometric = st.builds(
+        make_geometric,
+        st.floats(min_value=1.5, max_value=4.0, **finite),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=1),
+    )
+    rows = st.one_of(two_apart_strategies(low=0.01), geometric)
+    return draw(st.lists(rows, min_size=1, max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies=scored_together())
+def test_a_mirrored_record_scores_the_same(strategies):
+    """Swapping every row's branches changes no measured ratio and no cell,
+    bit for bit, and swaps each row's two settled verdicts."""
+    members = Members.stack(strategies)
+    mirror = Members.stack([Strategy(s.lengths, 1 - s.branches) for s in strategies])
+    cells, settled = _cells(members)
+    mirror_cells, mirror_settled = _cells(mirror)
+    assert _same(cells, mirror_cells)
+    assert _same(settled, mirror_settled[:, ::-1])
+    if (np.fmax.reduce(members.lengths, axis=1) >= 1.0).all():
+        assert _same(_measured_ratios(members), _measured_ratios(mirror))
+    else:  # a row that never reaches distance 1 has no measured ratio
+        with pytest.raises(ValueError, match="empty effective grid"):
+            _measured_ratios(mirror)
 
 
 def _turns_and_probes(strategies):

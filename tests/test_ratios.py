@@ -411,6 +411,12 @@ class TestOracleEquivalence:
         # probes one ulp past each turn point read the right limits exactly
         assert float(np.max(oracle_equivalence_gaps(200, 0))) <= 1e-10
 
+    def test_no_strategies_give_no_gaps(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaps = oracle_equivalence_gaps(0)
+        assert gaps.dtype == np.float64 and gaps.shape == (0,)
+
     def test_count_bounded_before_any_strategy(self, monkeypatch):
         monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
         assert len(random_alternating_strategies(2)) == 2  # 2 x 64 fits
