@@ -13,29 +13,21 @@ import itertools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .bounds import (
-    DEFAULT_HORIZON,
-    FrontierCurve,
-    HorizonTooShort,
-    _integer,
-    _real,
-    _sweep_cells,
-    build_frontiers,
-    check_segment_growth_lemma,
-    frontier_curve,
-    growth_lemma_sweep,
-    prefix_bound_sweep,
-)
+from ._rules import DEFAULT_HORIZON, HorizonTooShort, _integer, _real
 
-# Only the numpy-free bounds module is imported here, so --help, usage
-# errors and frontier never load numpy; the commands that need arrays
-# import model, hints and ratios when they run.
+if TYPE_CHECKING:
+    from .bounds import FrontierCurve
+
+# Only the input rules are imported here, so --help and usage errors load
+# nothing else of the package; each command imports what it needs when it
+# runs: frontier the numpy-free bounds, the others model, hints and ratios.
 
 __all__ = ["main"]
 
-_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
+# The input rules raise only these; any other exception is a bug to show.
+_INPUT_ERRORS = (ValueError, OSError)
 
 _MAX_R_POINTS = 10**6
 
@@ -196,7 +188,7 @@ def _print_strategy_report(strategy) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .bounds import _MAX_SEGMENTS  # the limit make_geometric admits now
+    from ._rules import _MAX_SEGMENTS  # the limit make_geometric admits now
     from .hints import direction_family, kbit_family, position_family
     from .model import make_geometric
     from .ratios import evaluate_hinted
@@ -246,6 +238,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
+    from .bounds import build_frontiers, frontier_curve
+
     if args.hint_class is None:
         raise ValueError("frontier needs --class")
     if args.r is None:
@@ -261,6 +255,8 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 def _verify_sweep(label: str, sweep) -> tuple[bool, str]:
     """Run an inequality sweep over geometric strategies and report its
     worst margin and where it occurs."""
+    from .bounds import _sweep_cells
+
     reports = sweep()
     worst = -math.inf
     where = ""
@@ -287,6 +283,11 @@ def _verify_oracle(count: int, seed: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .bounds import (
+        check_segment_growth_lemma,
+        growth_lemma_sweep,
+        prefix_bound_sweep,
+    )
     from .model import strategy_from_lengths
 
     _integer(args.count, "--count", 1)

@@ -18,17 +18,16 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (
-    DEFAULT_HORIZON,
+from ._rules import (
     _MAX_K,
+    DEFAULT_HORIZON,
     HorizonTooShort,
     _admit,
     _direction_params,
     _integer,
     _real,
-    base_for_robustness,
-    kbit_base,
 )
+from .bounds import base_for_robustness, kbit_base
 from .model import (
     BitStringHint,
     DirectionHint,

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import _MAX_K, _MAX_REAL, _admit, _integer, _real
+from ._rules import _MAX_K, _MAX_REAL, _admit, _integer, _real
 
 __all__ = [
     "Strategy",
@@ -44,7 +44,7 @@ def _each(values, read: Callable, dtype) -> np.ndarray:
 
 
 def _reals(values, name: str, lo: float, open_lo: bool = False) -> np.ndarray:
-    """The array twin of bounds._real: ``values``, any shape, as float64.  An
+    """The array twin of _rules._real: ``values``, any shape, as float64.  An
     int or float ndarray is checked by its min and max alone (NaN fails);
     any other input, or one that fails, is read one by one by _real."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" and values.size:

@@ -15,14 +15,14 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .bounds import (
+from ._rules import (
     _MAX_SEGMENTS,
     DEFAULT_HORIZON,
     HorizonTooShort,
-    TradeoffPoint,
     _admit,
     _integer,
 )
+from .bounds import TradeoffPoint
 from .hints import HintedStrategy
 from .model import (
     Members,

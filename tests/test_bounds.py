@@ -64,6 +64,14 @@ class TestDirectionTradeoff:
         with pytest.raises(ValueError, match="delta"):
             direction_tradeoff(2.0, 1.5)
 
+    @pytest.mark.parametrize("b", [1e308, 9e307])
+    def test_consistency_past_the_float_range_names_the_inputs(self, b):
+        message = f"b={b!r}, delta=1.0: the consistency leaves the float range"
+        with pytest.raises(ValueError) as raised:
+            direction_tradeoff(b, 1.0)
+        assert str(raised.value) == message
+        assert direction_tradeoff(1e154, 1.0).consistency == 2e154
+
     def test_sum_floor(self):
         # c + r >= 18 everywhere, with equality only at (b, delta) = (2, 1)
         rng = np.random.default_rng(11)

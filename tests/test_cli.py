@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cowpath import bounds, cli, ratios
+from cowpath import _rules, bounds, cli, ratios
 from cowpath.cli import main
 from cowpath.hints import direction_family, kbit_family, position_family
 from cowpath.model import DirectionHint, make_geometric
@@ -509,7 +509,7 @@ class TestEval:
     def test_size_limit_exits_2(self, capsys, monkeypatch, argv, message):
         # the limit is checked before any hint or member is built; the error
         # states the parameters, the member count and the horizon, no remedy
-        monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
+        monkeypatch.setattr(_rules, "_MAX_SEGMENTS", 128)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         if "members" in message:
@@ -706,9 +706,9 @@ class TestVerify:
         def no_work(*args, **kwargs):
             raise AssertionError("a suite ran")
 
-        # cli imports the oracle suite from ratios when it runs
+        # cli imports the suites from bounds and ratios when it runs
         for module, name in (
-            (cli, "growth_lemma_sweep"), (cli, "prefix_bound_sweep"),
+            (bounds, "growth_lemma_sweep"), (bounds, "prefix_bound_sweep"),
             (ratios, "oracle_equivalence_gaps"),
         ):
             monkeypatch.setattr(module, name, no_work)
@@ -724,7 +724,7 @@ class TestVerify:
         # the oracle suite runs first: its strategies' admission rejects the
         # count before any sweep runs or any strategy is built
         for module, name in (
-            (cli, "growth_lemma_sweep"), (cli, "prefix_bound_sweep"),
+            (bounds, "growth_lemma_sweep"), (bounds, "prefix_bound_sweep"),
             (ratios, "_alternating_rows"),
         ):
             monkeypatch.setattr(module, name, no_work)
@@ -1081,6 +1081,18 @@ class TestTopLevel:
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2
 
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_a_bug_is_no_input_error(self, capsys, monkeypatch, error):
+        # the input rules raise only ValueError and OSError: any other
+        # exception is a bug, shown by its traceback, not exit 2
+        def broken(args):
+            raise error("a bug")
+
+        monkeypatch.setattr(cli, "cmd_frontier", broken)
+        with pytest.raises(error):
+            main(["frontier", "--class", "all", "--r", "9"])
+        assert capsys.readouterr() == ("", "")
+
     def test_public_names_are_the_module_lists(self):
         import cowpath
         from cowpath import bounds, hints, model, ratios
@@ -1094,28 +1106,34 @@ class TestTopLevel:
 
     def test_cold_paths_load_no_numpy(self, tmp_path):
         # each command runs in a fresh interpreter, so sys.modules starts
-        # empty; of the package, only the front end and bounds may load
+        # empty; of the package, --help and usage errors load only the front
+        # end and its input rules (runpy leaves cowpath.__main__ unlisted),
+        # and frontier loads the numpy-free bounds too
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"class": "all", "r": "9:20:1", "k": 3}))
-        run_cli = (
-            "import runpy, sys\n"
-            "try:\n"
-            "    runpy.run_module('cowpath', run_name='__main__')\n"
-            "finally:\n"
-            "    for name in ('numpy', 'numbers'):\n"
-            "        assert name not in sys.modules, f'{name} was imported'\n"
-            "    loaded = {m for m in sys.modules if m.split('.')[0] == 'cowpath'}\n"
-            "    front = {'cowpath.cli', 'cowpath.bounds'}\n"
-            "    allowed = front | {'cowpath', 'cowpath.__main__'}\n"
-            "    assert front <= loaded <= allowed, loaded\n"
-        )
+
+        def run_cli(expected, absent):
+            return (
+                "import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('cowpath', run_name='__main__')\n"
+                "finally:\n"
+                f"    for name in {absent!r}:\n"
+                "        assert name not in sys.modules, f'{name} was imported'\n"
+                "    loaded = {m for m in sys.modules if m.split('.')[0] == 'cowpath'}\n"
+                f"    assert loaded == {expected!r}, loaded\n"
+            )
+
+        front = {"cowpath", "cowpath.cli", "cowpath._rules"}
+        usage = run_cli(front, ("numpy", "numbers", "dataclasses"))
+        frontier = run_cli(front | {"cowpath.bounds"}, ("numpy", "numbers"))
         cases = [
             (["-c", "import sys, cowpath\nassert 'numpy' not in sys.modules"], 0),
-            (["-c", run_cli, "--help"], 0),
-            (["-c", run_cli, "eval", "--bogus"], 2),
-            (["-c", run_cli, "frontier", "--class", "all", "--r", "9:20:1",
+            (["-c", usage, "--help"], 0),
+            (["-c", usage, "eval", "--bogus"], 2),
+            (["-c", frontier, "frontier", "--class", "all", "--r", "9:20:1",
               "--k", "3"], 0),
-            (["-c", run_cli, "frontier", "--config", str(cfg)], 0),
+            (["-c", frontier, "frontier", "--config", str(cfg)], 0),
         ]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         for argv, expected in cases:
@@ -1236,7 +1254,7 @@ class TestFuzz:
         # a small segment limit keeps every record that passes the admission
         # small; a RuntimeWarning fails the test (the suite's warning filter)
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(bounds, "_MAX_SEGMENTS", 2**12), \
+        with mock.patch.object(_rules, "_MAX_SEGMENTS", 2**12), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 2, 3)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cowpath import bounds, hints
+from cowpath import _rules, hints
 from cowpath.cli import _partition_to_json
 from cowpath.hints import (
     LabeledInterval,
@@ -352,7 +352,7 @@ class TestSizeLimit:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(hints, name, counting)
-        monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
+        monkeypatch.setattr(_rules, "_MAX_SEGMENTS", 128)
         with pytest.raises(ValueError, match="segments|horizon must be") as info:
             build()
         assert message in str(info.value)
@@ -374,7 +374,7 @@ class TestSizeLimit:
         assert str(info.value) == "horizon must be <= 1048576, got 2097152"
 
     def test_at_the_limit_fits(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
+        monkeypatch.setattr(_rules, "_MAX_SEGMENTS", 128)
         assert len(kbit_family(9.0, 1).hint_space) == 2
         assert preferred_partition(9.0, 1, 10.0).branch0
         assert len(direction_family(2.0, 1.0, 64).select(DirectionHint(0))) == 64

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cowpath import bounds
+from cowpath._rules import _integer, _real
 from cowpath.bounds import (
     HorizonTooShort,
-    _integer,
-    _real,
     _robust_base_interval,
     base_for_robustness,
     check_prefix_sum_bound,

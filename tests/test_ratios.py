@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cowpath import bounds, hints
+from cowpath import _rules, bounds, hints
 from cowpath.model import (
     BitStringHint,
     DirectionHint,
@@ -418,7 +418,7 @@ class TestOracleEquivalence:
         assert gaps.dtype == np.float64 and gaps.shape == (0,)
 
     def test_count_bounded_before_any_strategy(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_MAX_SEGMENTS", 128)
+        monkeypatch.setattr(_rules, "_MAX_SEGMENTS", 128)
         assert len(random_alternating_strategies(2)) == 2  # 2 x 64 fits
         for draw in (random_alternating_strategies, oracle_equivalence_gaps):
             with pytest.raises(ValueError) as info:

@@ -1,5 +1,5 @@
 """The real-number rule: every budget, base, skew, scale, distance and
-interval end the library takes is read by one check, `bounds._real`.  An
+interval end the library takes is read by one check, `_rules._real`.  An
 int, a float or a numpy real reads as its float; a bool (numpy's too), a
 string, bytes or None is refused as not a number, nan and inf as not
 finite, each with a message naming the parameter.  Every batch of
