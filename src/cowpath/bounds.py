@@ -180,11 +180,12 @@ def direction_tradeoff(b: float, delta: float) -> TradeoffPoint:
     b, delta = _direction_params(b, delta)
     u = (b / (b - 1.0)) * (b / (b + 1.0))
     c = 1.0 + 2.0 * (1.0 + delta * b) * u
-    if c == math.inf:
-        raise ValueError(
-            f"b={b!r}, delta={delta!r}: the consistency leaves the float range"
-        )
     r = 1.0 + 2.0 * (1.0 + b / delta) * u
+    for name, value in (("consistency", c), ("robustness", r)):
+        if value == math.inf:
+            raise ValueError(
+                f"b={b!r}, delta={delta!r}: the {name} leaves the float range"
+            )
     return TradeoffPoint(c, r, "closed_form", True)
 
 

@@ -145,11 +145,7 @@ def _frontier_to_csv(curves: Sequence[FrontierCurve]) -> str:
     infinity, empty for absent fields."""
 
     def num(value: Optional[float]) -> str:
-        if value is None:
-            return ""
-        if math.isinf(value):
-            return "inf"
-        return f"{value:.9g}"
+        return "" if value is None else f"{value:.9g}"
 
     lines = ["hint_class,k,r,c_upper,c_lower,b_star,delta_star"]
     for curve in curves:

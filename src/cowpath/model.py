@@ -64,11 +64,11 @@ def _branches(values) -> np.ndarray:
 
 
 def _rows(lengths: np.ndarray, branches: np.ndarray) -> Members:
-    """The one checked record: rows of lengths _reals has read, all of one
-    size, and their branches (0 or 1).  Each check of the strategy rule runs
-    once over all rows: lengths two apart not shrinking, and the walk
-    2 * (sum of lengths) finite, as _admit bounds it for built records.  A
-    view is copied, since a record owns its arrays."""
+    """The one record constructor: rows of lengths _reals has read and branches
+    0 or 1, right-padded (NaN, -1) to one size.  The strategy rule is checked
+    once over all rows: lengths two apart do not shrink, and the walk 2 * (sum
+    of lengths) is finite (a NaN total marks a padded row, already a checked
+    Strategy).  Builds the sums, copies any view and freezes all three arrays."""
     shrunk = lengths[:, 2:] < lengths[:, :-2] * (1.0 - _REL_TOL)
     if shrunk.any():
         row, i = np.unravel_index(np.argmax(shrunk), shrunk.shape)
@@ -79,11 +79,15 @@ def _rows(lengths: np.ndarray, branches: np.ndarray) -> Members:
     sums = np.zeros((len(lengths), lengths.shape[1] + 1))
     with np.errstate(over="ignore"):  # the sums every kernel reads
         np.cumsum(lengths, axis=1, out=sums[:, 1:])
-        if not np.isfinite(2.0 * sums[:, -1]).all():
+        if np.isinf(2.0 * sums[:, -1]).any():
             raise ValueError("the walk 2 * (sum of lengths) overflows the float range")
     lengths = lengths if lengths.base is None else lengths.copy()
     branches = branches.astype(np.int8, copy=branches.base is not None)
-    return _record(lengths, branches, sums)
+    record = object.__new__(Members)
+    for name, a in zip(("lengths", "branches", "sums"), (lengths, branches, sums)):
+        a.flags.writeable = False
+        object.__setattr__(record, name, a)
+    return record
 
 
 class Strategy:
@@ -249,7 +253,7 @@ class Members:
     evaluator reads one.  Three read-only arrays, rows right-padded to the
     longest: ``lengths`` (NaN past a row's end), ``branches`` (int8, -1 past
     it) and ``sums``, where sums[i, j] is the sum of row i's first j lengths
-    (one column more).  Every kernel trusts a record: _record alone builds one."""
+    (one column more).  Every kernel trusts a record: _rows alone builds one."""
 
     lengths: np.ndarray
     branches: np.ndarray
@@ -274,30 +278,20 @@ class Members:
         if rows:
             lengths[inside] = np.concatenate([s.lengths for s in rows])
             branches[inside] = np.concatenate([s.branches for s in rows])
-        sums = np.zeros((len(rows), lengths.shape[1] + 1))
-        np.cumsum(lengths, axis=1, out=sums[:, 1:])
-        return _record(lengths, branches, sums)
+        return _rows(lengths, branches)
 
     def __len__(self) -> int:
         return len(self.lengths)
 
     def row(self, i: int) -> Members:
-        """Member i alone, as a one-row record of views."""
-        return _record(*(a[i : i + 1] for a in vars(self).values()))
+        """Member i alone, as a one-row record: _rows copies and checks it."""
+        return _rows(self.lengths[i : i + 1], self.branches[i : i + 1])
 
     def __reduce__(self):
-        # copy, deepcopy and pickle: a copied array is writeable until frozen
-        return (_record, tuple(vars(self).values()))
-
-
-def _record(*arrays: np.ndarray) -> Members:
-    """The record of lengths, branches and sums as _rows, stack, row, copy
-    and pickle give them: taken unchecked, made read-only."""
-    record = object.__new__(Members)
-    for name, a in zip(("lengths", "branches", "sums"), arrays):
-        a.flags.writeable = False
-        object.__setattr__(record, name, a)
-    return record
+        """copy, deepcopy and pickle rebuild every row as a Strategy and stack
+        them, so a copy is read by the same rules as Strategy(...)."""
+        rows = zip(self.lengths, self.branches)
+        return (Members.stack, ([Strategy(a[b >= 0], b[b >= 0]) for a, b in rows],))
 
 
 def _shortest_reach(members: Members) -> float:

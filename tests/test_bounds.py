@@ -72,6 +72,14 @@ class TestDirectionTradeoff:
         assert str(raised.value) == message
         assert direction_tradeoff(1e154, 1.0).consistency == 2e154
 
+    @pytest.mark.parametrize("b, delta", [(1e154, 1e-160), (1e100, 1e-250)])
+    def test_robustness_past_the_float_range_names_the_inputs(self, b, delta):
+        message = f"b={b!r}, delta={delta!r}: the robustness leaves the float range"
+        with pytest.raises(ValueError) as raised:
+            direction_tradeoff(b, delta)
+        assert str(raised.value) == message
+        assert direction_tradeoff(1e154, 1e-150).robustness == pytest.approx(2e304)
+
     def test_sum_floor(self):
         # c + r >= 18 everywhere, with equality only at (b, delta) = (2, 1)
         rng = np.random.default_rng(11)

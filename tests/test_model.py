@@ -247,6 +247,34 @@ class TestRecordsStayFrozen:
         for strategies in (rows[1], rows[::-1], rows[:2], rows + rows):
             assert Members.stack(strategies) is not Members.stack(strategies)
 
+    def test_every_record_is_built_by_rows(self, monkeypatch):
+        # padded stacks, rows, copies and pickles are all checked by _rows
+        strategies = [make_geometric(2.0, 3), make_geometric(3.0, 5, 1)]
+        record = Members.stack(strategies)
+
+        class Built(Exception):
+            pass
+
+        def refuse(lengths, branches):
+            raise Built
+
+        monkeypatch.setattr(model, "_rows", refuse)
+        builds = {
+            "padded stack": lambda: Members.stack(strategies),
+            "row": lambda: record.row(1),
+            "copy": lambda: copy.copy(record),
+            "deepcopy": lambda: copy.deepcopy(record),
+            "pickle": lambda: pickle.loads(pickle.dumps(record)),
+        }
+        missed = []
+        for name, build in builds.items():
+            try:
+                build()
+            except Built:
+                continue
+            missed.append(name)
+        assert not missed
+
     def test_a_record_is_built_only_from_strategies(self):
         # the kernels trust a record's arrays, so none is taken unchecked
         with pytest.raises(TypeError):

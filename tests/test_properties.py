@@ -3,6 +3,7 @@ and every batched fast path against its scalar reference."""
 
 import decimal
 import math
+import pickle
 import random
 import re
 import sys
@@ -403,6 +404,10 @@ def test_record_matches_strategy_list(strategies, data):
         assert (members.branches[i, n:] == -1).all()
         assert members.sums[i, 0] == 0.0
         assert _same(members.sums[i, 1 : n + 1], np.cumsum(s.lengths))
+    # a pickled record is rebuilt through Strategy and _rows with the same bits
+    unpickled = pickle.loads(pickle.dumps(members))
+    for name in ("lengths", "branches", "sums"):
+        assert _same(getattr(unpickled, name), getattr(members, name))
     ds = data.draw(
         st.lists(
             st.floats(min_value=1.0, max_value=130.0, **finite),
