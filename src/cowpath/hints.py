@@ -301,7 +301,7 @@ def preferred_partition(
     breakpoints = _distinct(members.lengths)  # the NaN padding fails both tests
     breakpoints = breakpoints[(breakpoints > 1.0) & (breakpoints < max_distance)]
     bounds = np.concatenate(([1.0], breakpoints, [max_distance]))
-    mids = np.maximum(1.0, 0.5 * (bounds[:-1] + bounds[1:]))
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
     sides = []
     for branch in (0, 1):
         # Every member reaches every midpoint (max_distance <= reach); runs

@@ -324,19 +324,22 @@ def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _first_reaching(
-    reach: np.ndarray, before: np.ndarray, d: np.ndarray
+    reach: np.ndarray, before: np.ndarray, d: np.ndarray, miss: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one cost kernel, over rows of segments in prefix-sum order that
-    each end in a sentinel of infinite reach.  Per row i and target d[i, j]:
-    the first column s where the running maximum of reach[i] is >= d[i, j],
-    and the cost d[i, j] + 2 * before[i, s].  Returns (costs, columns) of
-    d's shape; one searchsorted over (row, running maximum) keys serves
-    every row.  ``reach`` is overwritten."""
-    np.maximum.accumulate(reach, axis=1, out=reach)
+    """The one cost kernel, over rows of segments in prefix-sum order.  Per
+    row i and target d[i, j]: the first column s where the running maximum
+    of reach[i] is >= d[i, j], and the cost d[i, j] + 2 * before[i, s].  A
+    column of infinite reach and prefix sum ``miss`` ends every row, so a
+    target the row never finds costs ``miss`` at the column past its end.
+    Returns (costs, columns) of d's shape; one searchsorted over (row,
+    running maximum) keys serves every row."""
     rows = np.arange(d.shape[0])[:, None]
-    pos = np.searchsorted(_row_keys(rows, reach), _row_keys(rows, d), side="left")
+    peak = np.full((len(reach), reach.shape[1] + 1), np.inf)
+    np.maximum.accumulate(reach, axis=1, out=peak[:, :-1])
+    before = np.concatenate((before, np.full((len(before), 1), miss)), axis=1)
+    pos = np.searchsorted(_row_keys(rows, peak), _row_keys(rows, d), side="left")
     pos = pos.reshape(d.shape)
-    pos -= rows * reach.shape[1]
+    pos -= rows * peak.shape[1]
     costs = before[rows, pos]
     costs *= 2.0
     costs += d
@@ -370,13 +373,9 @@ def search_costs(
             f"distances must have one row per strategy, got shape {d.shape} "
             f"for {len(members)} strategies"
         )
-    # The sentinel column has prefix sum NaN: a target the row never finds
-    # costs NaN.
-    reach = np.full(members.sums.shape, np.inf)
-    reach[:, :-1] = np.where(members.branches == branch, members.lengths, 0.0)
-    before = members.sums.copy()
-    before[:, -1] = np.nan
-    return _first_reaching(reach, before, rows)[0].reshape(d.shape)
+    reach = np.where(members.branches == branch, members.lengths, 0.0)
+    costs, _ = _first_reaching(reach, members.sums[:, :-1], rows, np.nan)
+    return costs.reshape(d.shape)
 
 
 def cheapest_search_costs(
@@ -387,22 +386,19 @@ def cheapest_search_costs(
     the target the cost is inf and the index -1 (distances: see search_costs).
 
     The cheapest cost at d is d + 2 * min{sum of the lengths before segment
-    s : lengths[s] >= d}.  Ordered by (prefix sum, strategy index), every
-    strategy's segments on the branch form one kernel row: its first segment
-    whose running-maximum reach is >= d is itself a segment of length >= d,
-    of least prefix sum, ties going to the smallest index.  Memory is
-    O(segments + len(distances)).
+    s : lengths[s] >= d}.  Gathered in strategy order and stably sorted by
+    prefix sum, every strategy's segments on the branch form one kernel row:
+    its first segment whose running-maximum reach is >= d is itself a
+    segment of length >= d, of least prefix sum, ties going to the smallest
+    index.  Memory is O(segments + len(distances)).
     """
     branch = _integer(branch, "branch", 0, 1)
     d = _reals(distances, "distance", 1.0)
     members = Members.stack(strategies)
     on = members.branches == branch
-    # The sentinel segment has infinite reach and prefix sum, and index -1:
-    # a target no strategy finds costs inf.
-    reach = np.append(members.lengths[on], np.inf)
-    before = np.append(members.sums[:, :-1][on], np.inf)
-    member = np.append(np.nonzero(on)[0], -1)
-    order = np.lexsort((member, before))
-    reach, before, member = reach[order], before[order], member[order]
-    costs, pos = _first_reaching(reach[None], before[None], d.reshape(1, -1))
+    before = members.sums[:, :-1][on]
+    order = np.argsort(before, kind="stable")
+    reach, before = members.lengths[on][order], before[order][None]
+    costs, pos = _first_reaching(reach[None], before, d.reshape(1, -1), np.inf)
+    member = np.append(np.nonzero(on)[0][order], -1)  # past the end: none
     return costs.reshape(d.shape), member[pos].reshape(d.shape)

@@ -161,8 +161,10 @@ def _measured_ratios(members: Members) -> np.ndarray:
         ratios = search_costs(members, d, branch)
         ratios /= d
         best = np.fmax(best, np.fmax.reduce(ratios, axis=1))
-    if np.isnan(best).any():
-        raise ValueError("empty effective grid: the prefix finds no grid target")
+    lost = np.isnan(best)  # no segment of the row reaches distance 1
+    if lost.any():
+        longest = float(np.fmax.reduce(members.lengths[np.argmax(lost)]))
+        raise ValueError(f"no segment reaches distance 1: the longest is {longest!r}")
     return best
 
 

@@ -394,20 +394,20 @@ class TestEval:
         )
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, longest",
         [
-            ("--geometric", "b=2", "scale=1e-300"),
-            ("--json", json.dumps({"segments": [
+            (("--geometric", "b=2", "scale=1e-300"), "9.223372036854776e-282"),
+            (("--json", json.dumps({"segments": [
                 {"length": 0.5, "branch": 0}, {"length": 0.5, "branch": 1}
-            ]})),
+            ]})), "0.5"),
         ],
         ids=["geometric", "json"],
     )
-    def test_failed_report_prints_nothing(self, capsys, argv):
+    def test_failed_report_prints_nothing(self, capsys, argv, longest):
         # every length is below 1: the prefix finds no target
         code, out, err = run(capsys, "eval", *argv)
         assert code == 2 and out == ""
-        assert err == "error: empty effective grid: the prefix finds no grid target\n"
+        assert err == f"error: no segment reaches distance 1: the longest is {longest}\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--file", str(tmp_path / "nope.json"))

@@ -680,7 +680,7 @@ def test_a_mirrored_record_scores_the_same(strategies):
     if (np.fmax.reduce(members.lengths, axis=1) >= 1.0).all():
         assert _same(_measured_ratios(members), _measured_ratios(mirror))
     else:  # a row that never reaches distance 1 has no measured ratio
-        with pytest.raises(ValueError, match="empty effective grid"):
+        with pytest.raises(ValueError, match="no segment reaches distance 1"):
             _measured_ratios(mirror)
 
 
@@ -695,6 +695,8 @@ def _turns_and_probes(strategies):
     members=member_lists,
     extra=st.lists(st.floats(min_value=1.0, max_value=130.0, **finite), max_size=8),
 )
+# ten members share each prefix sum: a sort that is not stable reorders ties
+@example(members=[make_geometric(2.0, 8, first) for first in (1, 0)] * 10, extra=[])
 def test_cheapest_cost_is_the_scalar_minimum(members, extra):
     ds = np.concatenate([_turns_and_probes(members), extra])
     for branch in (0, 1):
@@ -706,7 +708,7 @@ def test_cheapest_cost_is_the_scalar_minimum(members, extra):
                 assert cost == np.inf and j == -1
             else:
                 assert cost == min(found)
-                assert scalar[j] == cost
+                assert j == scalar.index(cost)  # ties go to the first member
 
 
 @settings(max_examples=100, deadline=None)
@@ -833,7 +835,7 @@ def test_cells_match_the_scalar_oracle(strategies):
         # suprema: its ratio just past each turn point and at distance 1
         closed = np.fmax.reduce(cells[i, :n])
         if np.isnan(closed):  # no segment reaches distance 1
-            with pytest.raises(ValueError, match="empty effective grid"):
+            with pytest.raises(ValueError, match="no segment reaches distance 1"):
                 competitive_ratio_measured(s)
             continue
         assert closed == pytest.approx(competitive_ratio_measured(s), rel=1e-12)

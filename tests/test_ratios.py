@@ -105,7 +105,7 @@ class TestMeasured:
     def test_empty_effective_grid(self):
         # every length below 1: no segment finds distance 1 or a probe
         s = Strategy([0.5, 0.5, 0.75], [0, 1, 0])
-        with pytest.raises(ValueError, match="empty effective grid"):
+        with pytest.raises(ValueError, match="the longest is 0.75$"):
             competitive_ratio_measured(s)
 
 
